@@ -118,35 +118,49 @@ fn checkpoint_error(path: &Path, reason: impl Into<String>) -> CfsError {
     CfsError::Checkpoint { path: path.display().to_string(), reason: reason.into() }
 }
 
-fn payload_value(data: &CheckpointData) -> Value {
-    let entries = data
-        .entries
+fn entry_value(key: &str, runs: &[StoredRun]) -> Value {
+    let runs = runs
         .iter()
-        .map(|(key, runs)| {
-            let runs = runs
+        .map(|run| {
+            let rewards = run
+                .rewards
                 .iter()
-                .map(|run| {
-                    let rewards = run
-                        .rewards
-                        .iter()
-                        .map(|(name, value)| {
-                            Value::Array(vec![Value::String(name.clone()), Value::Float(*value)])
-                        })
-                        .collect();
-                    Value::Object(vec![
-                        ("rewards".to_string(), Value::Array(rewards)),
-                        ("events".to_string(), Value::UInt(run.events)),
-                        ("end_time".to_string(), Value::Float(run.end_time)),
-                    ])
+                .map(|(name, value)| {
+                    Value::Array(vec![Value::String(name.clone()), Value::Float(*value)])
                 })
                 .collect();
             Value::Object(vec![
-                ("key".to_string(), Value::String(key.clone())),
-                ("runs".to_string(), Value::Array(runs)),
+                ("rewards".to_string(), Value::Array(rewards)),
+                ("events".to_string(), Value::UInt(run.events)),
+                ("end_time".to_string(), Value::Float(run.end_time)),
             ])
         })
         .collect();
-    Value::Object(vec![("entries".to_string(), Value::Array(entries))])
+    Value::Object(vec![
+        ("key".to_string(), Value::String(key.to_string())),
+        ("runs".to_string(), Value::Array(runs)),
+    ])
+}
+
+/// Renders the payload, the compact JSON of `{"entries": [...]}`, one
+/// entry at a time, and returns it with the serialised length of the
+/// entry keyed `counted` (of every entry when `None`): the bytes telemetry
+/// charges to this write.
+fn payload_json(data: &CheckpointData, counted: Option<&str>) -> (String, usize) {
+    let mut payload = String::from("{\"entries\":[");
+    let mut counted_bytes = 0;
+    for (i, (key, runs)) in data.entries.iter().enumerate() {
+        if i > 0 {
+            payload.push(',');
+        }
+        let entry = entry_value(key, runs).to_json();
+        if counted.is_none() || counted == Some(key.as_str()) {
+            counted_bytes += entry.len();
+        }
+        payload.push_str(&entry);
+    }
+    payload.push_str("]}");
+    (payload, counted_bytes)
 }
 
 fn parse_payload(path: &Path, payload: &str) -> Result<CheckpointData, CfsError> {
@@ -264,15 +278,22 @@ pub fn load(path: impl AsRef<Path>) -> Result<CheckpointData, CfsError> {
 
 /// Writes a checkpoint file atomically: the document is assembled in
 /// memory, written to `<path>.tmp`, and renamed over `path`, so readers
-/// never observe a half-written file.
+/// never observe a half-written file. If either step fails the temporary
+/// file is removed (best effort). Telemetry counts the serialised bytes of
+/// every entry.
 ///
 /// # Errors
 ///
 /// Returns [`CfsError::Checkpoint`] when the temporary file cannot be
 /// written or the rename fails.
 pub fn store(path: impl AsRef<Path>, data: &CheckpointData) -> Result<(), CfsError> {
-    let path = path.as_ref();
-    let payload = payload_value(data).to_json();
+    write_file(path.as_ref(), data, None)
+}
+
+/// [`store`], charging telemetry only for the entry keyed `counted` (every
+/// entry when `None`).
+fn write_file(path: &Path, data: &CheckpointData, counted: Option<&str>) -> Result<(), CfsError> {
+    let (payload, entry_bytes) = payload_json(data, counted);
     let envelope = Value::Object(vec![
         ("format".to_string(), Value::String(FORMAT.to_string())),
         ("version".to_string(), Value::UInt(VERSION)),
@@ -287,14 +308,18 @@ pub fn store(path: impl AsRef<Path>, data: &CheckpointData) -> Result<(), CfsErr
     let tmp = std::path::PathBuf::from(tmp);
     let document = envelope.to_json_pretty();
     telemetry::counter_inc(telemetry::MetricId::CheckpointWrites);
-    telemetry::counter_add(telemetry::MetricId::CheckpointBytes, document.len() as u64);
+    telemetry::counter_add(telemetry::MetricId::CheckpointBytes, entry_bytes as u64);
     let write_span = telemetry::span(telemetry::MetricId::SpanCheckpointWrite);
-    fs::write(&tmp, document)
-        .map_err(|e| checkpoint_error(path, format!("cannot write temporary file: {e}")))?;
+    if let Err(e) = fs::write(&tmp, document) {
+        let _ = fs::remove_file(&tmp);
+        return Err(checkpoint_error(path, format!("cannot write temporary file: {e}")));
+    }
     drop(write_span);
     let _rename_span = telemetry::span(telemetry::MetricId::SpanCheckpointRename);
-    fs::rename(&tmp, path)
-        .map_err(|e| checkpoint_error(path, format!("cannot rename temporary file: {e}")))
+    fs::rename(&tmp, path).map_err(|e| {
+        let _ = fs::remove_file(&tmp);
+        checkpoint_error(path, format!("cannot rename temporary file: {e}"))
+    })
 }
 
 /// Serialises every read-modify-write cycle in this process: scenarios of a
@@ -304,7 +329,9 @@ static UPDATE_LOCK: Mutex<()> = Mutex::new(());
 /// Atomically merges `runs` into the checkpoint at `path` under `key`:
 /// loads the current file (empty if missing), replaces the entry, and
 /// stores the result. Concurrent updates from this process serialise on a
-/// lock; the write itself is atomic.
+/// lock; the write itself is atomic. Telemetry counts only the bytes of
+/// the `key` entry, so the count does not depend on what other scenarios
+/// sharing the file have written so far.
 ///
 /// # Errors
 ///
@@ -314,7 +341,7 @@ pub fn update(path: impl AsRef<Path>, key: &str, runs: Vec<StoredRun>) -> Result
     let _guard = UPDATE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let mut data = load(path.as_ref())?;
     data.set_entry(key, runs);
-    store(path.as_ref(), &data)
+    write_file(path.as_ref(), &data, Some(key))
 }
 
 #[cfg(test)]
@@ -418,6 +445,84 @@ mod tests {
         assert_eq!(data.entry("a#1").unwrap(), longer.as_slice());
         assert_eq!(data.entry("b#1").unwrap().len(), 1);
         fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn payload_is_the_compact_document_and_counts_one_entry() {
+        let mut data = CheckpointData::new();
+        data.set_entry("a#1", sample_runs());
+        data.set_entry("b#1", sample_runs()[..1].to_vec());
+        let entries: Vec<Value> =
+            data.entries.iter().map(|(key, runs)| entry_value(key, runs)).collect();
+        let a_bytes = entries[0].to_json().len();
+        let document = Value::Object(vec![("entries".to_string(), Value::Array(entries))]);
+        let (payload, all) = payload_json(&data, None);
+        assert_eq!(payload, document.to_json());
+        assert_eq!(all, payload.len() - "{\"entries\":[,]}".len());
+        assert_eq!(payload_json(&data, Some("a#1")), (payload.clone(), a_bytes));
+        assert_eq!(payload_json(&CheckpointData::new(), None), ("{\"entries\":[]}".into(), 0));
+    }
+
+    #[test]
+    fn large_entry_round_trips_and_loads_in_linear_time() {
+        let path = temp_path("large");
+        let runs: Vec<StoredRun> = (0..2048_u32)
+            .map(|i| {
+                let x = f64::from(i);
+                StoredRun {
+                    rewards: vec![
+                        ("cfs_availability".to_string(), 1.0 - 1.0 / (x + 3.7)),
+                        ("storage_availability".to_string(), 0.999_9 - x * 1.0e-9),
+                        ("cu".to_string(), (x + 0.5).sqrt() / 57.3),
+                        ("disk_replacements".to_string(), x * 0.37),
+                        ("oss_pairs_down".to_string(), x.ln_1p() / 13.0),
+                        ("jobs_lost".to_string(), x * 0.011),
+                    ],
+                    events: 100_000 + u64::from(i) * 7,
+                    end_time: 8760.0 + x / 3.0,
+                }
+            })
+            .collect();
+        let mut data = CheckpointData::new();
+        data.set_entry(&entry_key("petascale", 7), runs.clone());
+        store(&path, &data).unwrap();
+        let size = fs::metadata(&path).unwrap().len();
+        assert!(size > 500_000 && size < 600_000, "the file should be ~550 KB, is {size}");
+
+        let started = std::time::Instant::now();
+        let reloaded = load(&path).unwrap();
+        let elapsed = started.elapsed();
+        let back = reloaded.entry(&entry_key("petascale", 7)).unwrap();
+        assert_eq!(back.len(), runs.len());
+        for (stored, original) in back.iter().zip(&runs) {
+            assert_eq!(stored.events, original.events);
+            assert_eq!(stored.end_time.to_bits(), original.end_time.to_bits());
+            for ((name, a), (original_name, b)) in stored.rewards.iter().zip(&original.rewards) {
+                assert_eq!(name, original_name);
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+        // Linear parsing loads this in milliseconds; re-validating the rest
+        // of the file per string character took seconds.
+        assert!(elapsed.as_secs_f64() < 1.0, "load took {elapsed:?}");
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn failed_store_leaves_no_temporary_file() {
+        // Renaming a file over an existing directory fails.
+        let dir = temp_path("store-onto-directory");
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir(&dir).unwrap();
+        let mut data = CheckpointData::new();
+        data.set_entry("k", sample_runs());
+        let err = store(&dir, &data).unwrap_err();
+        assert!(matches!(err, CfsError::Checkpoint { .. }), "{err}");
+        assert!(err.to_string().contains("cannot rename"), "{err}");
+        let mut tmp = dir.as_os_str().to_owned();
+        tmp.push(".tmp");
+        assert!(!std::path::Path::new(&tmp).exists(), "stray temporary file left behind");
+        fs::remove_dir(&dir).unwrap();
     }
 
     #[test]

@@ -199,7 +199,7 @@ metrics! {
         "Checkpoint files written (atomic write + rename pairs)";
     CheckpointBytes = "checkpoint_bytes_written_total", Counter,
         "bytes", Deterministic,
-        "Payload bytes written to checkpoint files";
+        "Serialised bytes of the checkpoint entries written (an update counts only its own entry)";
     CheckpointResumeHits = "checkpoint_resume_hits_total", Counter,
         "count", Deterministic,
         "Replications served from a checkpoint instead of re-simulated";

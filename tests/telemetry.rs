@@ -61,6 +61,29 @@ fn deterministic_counters_are_worker_count_invariant() {
         let parallel = run(workers);
         assert_eq!(reference, deterministic_samples(&parallel), "workers {workers}");
     }
+
+    // A petascale + ABE study checkpointing into one shared file. The two
+    // scenarios' writes interleave differently at each worker count, and
+    // every write rewrites both entries; the byte counter charges a write
+    // only for its own entry, so it stays invariant too.
+    let shared = |workers: usize| {
+        let path = std::env::temp_dir()
+            .join(format!("cfs-telemetry-shared-{}-{workers}.ckpt.json", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let report = Study::new()
+            .with(ClusterConfig::petascale())
+            .with(ClusterConfig::abe())
+            .run(&spec(workers).with_checkpoint(path.to_string_lossy(), 2))
+            .unwrap();
+        let _ = std::fs::remove_file(&path);
+        deterministic_samples(&report)
+    };
+    let reference = shared(1);
+    let bytes = reference.iter().find(|(name, _)| name == "checkpoint_bytes_written_total");
+    assert!(bytes.is_some_and(|&(_, value)| value > 0.0), "{reference:?}");
+    for workers in [2, 8] {
+        assert_eq!(reference, shared(workers), "shared checkpoint, workers {workers}");
+    }
 }
 
 /// Telemetry never touches the statistics: the same study produces
