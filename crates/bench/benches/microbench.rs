@@ -230,7 +230,7 @@ fn bench_rare_event(records: &mut Vec<BenchRecord>) {
     experiment.add_reward(pair.hit_reward());
     let rule = StoppingRule::new(0.10, 1_000, 100_000).unwrap();
     let start = Instant::now();
-    let summary = experiment.run_until(rule, cfs_bench::DEFAULT_SEED).unwrap();
+    let summary = experiment.run(rule, cfs_bench::DEFAULT_SEED).unwrap();
     let elapsed = start.elapsed();
     let estimate = summary.reward("hit").unwrap();
     let p = estimate.interval.point;
@@ -267,9 +267,8 @@ fn bench_rare_event(records: &mut Vec<BenchRecord>) {
     let sim = ReplicationSimulator::new(config).unwrap();
     let rule = StoppingRule::new(0.10, 1_000, 64_000).unwrap();
     let start = Instant::now();
-    let result = sim
-        .splitting_loss_probability_until(2190.0, &rule, cfs_bench::DEFAULT_SEED, 0.95, 0)
-        .unwrap();
+    let result =
+        sim.splitting_loss_probability(2190.0, rule, cfs_bench::DEFAULT_SEED, 0.95, 0).unwrap();
     let elapsed = start.elapsed();
     println!(
         "rare_event_splitting_trials_to_10pct           {:>12.0} trials   (p = {:.3e}, rel \

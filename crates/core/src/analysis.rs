@@ -1,10 +1,9 @@
 //! Running the composed cluster model and summarising its dependability.
 
-use std::cell::Cell;
-use std::ops::Range;
-
-use probdist::parallel::{current_cancel_token, CancelToken};
-use probdist::stats::{confidence_interval, run_to_precision, ConfidenceInterval, RunningStats};
+use probdist::parallel::{cancel_scope, current_cancel_token, CancelToken};
+use probdist::stats::{
+    confidence_interval, run_to_precision, Checkpoint, ConfidenceInterval, RunningStats,
+};
 use serde::{Deserialize, Serialize};
 
 use sanet::{Experiment, RunResult};
@@ -104,42 +103,6 @@ impl MeasureStats {
     }
 }
 
-/// Per-evaluation checkpoint state: the file and interval from the spec's
-/// [`crate::run::CheckpointPolicy`], this evaluation's entry key, and the
-/// stored replication prefix loaded when the session opened. As new
-/// replications complete they are appended to `stored` and the whole
-/// prefix is re-persisted, so the file always holds a contiguous
-/// `0..stored.len()` prefix.
-struct CheckpointSession {
-    path: String,
-    every_n: usize,
-    key: String,
-    stored: Vec<StoredRun>,
-}
-
-impl CheckpointSession {
-    /// Opens the spec's checkpoint (if it carries one), loading any
-    /// previously persisted prefix for this `(config, base seed)` pair.
-    fn open(config: &ClusterConfig, spec: &RunSpec) -> Result<Option<CheckpointSession>, CfsError> {
-        let Some(policy) = spec.checkpoint() else {
-            return Ok(None);
-        };
-        let key = checkpoint::entry_key(&config.name, spec.base_seed());
-        let data = checkpoint::load(&policy.path)?;
-        let stored = data.entry(&key).map(<[StoredRun]>::to_vec).unwrap_or_default();
-        Ok(Some(CheckpointSession {
-            path: policy.path.clone(),
-            every_n: policy.every_n,
-            key,
-            stored,
-        }))
-    }
-
-    fn persist(&self) -> Result<(), CfsError> {
-        checkpoint::update(&self.path, &self.key, self.stored.clone())
-    }
-}
-
 fn restore_run(run: &StoredRun) -> RunResult {
     RunResult::from_named_values(run.rewards.clone(), run.events, run.end_time)
 }
@@ -150,69 +113,6 @@ fn capture_run(run: &RunResult) -> StoredRun {
         events: run.events,
         end_time: run.end_time,
     }
-}
-
-/// Runs replications `range` of `experiment`: indices already in the
-/// checkpoint prefix are restored without simulating, the remainder runs
-/// in chunks of the checkpoint interval (persisting after every chunk),
-/// and the cancel token truncates the range cooperatively. Returns the
-/// contiguous completed prefix of the range and whether cancellation cut
-/// it short.
-///
-/// A panic inside a chunk (a poisoned replication, injected or real)
-/// propagates *before* that chunk is persisted, so the checkpoint file
-/// only ever holds fully completed replications.
-fn run_range(
-    experiment: &Experiment,
-    seed: u64,
-    range: Range<usize>,
-    session: &mut Option<CheckpointSession>,
-    token: Option<&CancelToken>,
-) -> Result<(Vec<RunResult>, bool), CfsError> {
-    let mut results: Vec<RunResult> = Vec::with_capacity(range.len());
-    let mut next = range.start;
-
-    // Serve the stored prefix first — bit-identical to re-simulating,
-    // because replication `i` is a pure function of `(seed, i)`.
-    if let Some(session) = session.as_ref() {
-        let available = session.stored.len().min(range.end);
-        let mut resumed = 0u64;
-        while next < available {
-            results.push(restore_run(&session.stored[next]));
-            next += 1;
-            resumed += 1;
-        }
-        probdist::telemetry::counter_add(
-            probdist::telemetry::MetricId::CheckpointResumeHits,
-            resumed,
-        );
-    }
-
-    while next < range.end {
-        if token.is_some_and(CancelToken::is_cancelled) {
-            return Ok((results, true));
-        }
-        let chunk_len = match session.as_ref() {
-            Some(session) => session.every_n.min(range.end - next),
-            None => range.end - next,
-        };
-        let chunk_range = next..next + chunk_len;
-        let (chunk, cut) = match token {
-            Some(token) => experiment.run_raw_range_interruptible(chunk_range, seed, token)?,
-            None => (experiment.run_raw_range(chunk_range, seed)?, false),
-        };
-        if let Some(session) = session.as_mut() {
-            debug_assert_eq!(session.stored.len(), next, "checkpoint prefix out of step");
-            session.stored.extend(chunk.iter().map(capture_run));
-            session.persist()?;
-        }
-        next += chunk.len();
-        results.extend(chunk);
-        if cut {
-            return Ok((results, true));
-        }
-    }
-    Ok((results, false))
 }
 
 /// Builds the composed model for `config`, simulates it under the spec's
@@ -251,48 +151,38 @@ pub fn evaluate(config: &ClusterConfig, spec: &RunSpec) -> Result<ClusterDependa
         let _span = probdist::telemetry::span(probdist::telemetry::MetricId::SpanModelBuild);
         build_cluster_model(config)?
     };
-    let rewards = standard_rewards(&cluster);
     let mut experiment = Experiment::new(cluster.model.clone(), horizon_hours);
-    experiment.set_workers(spec.workers());
-    for reward in rewards {
+    for reward in standard_rewards(&cluster) {
         experiment.add_reward(reward);
     }
+    let kernel = experiment.kernel()?;
+    let replications = spec.replication_policy()?;
 
-    // A study installs one study-wide token ambiently (covering every
-    // scenario it schedules); a standalone evaluation derives its own from
-    // the spec's deadline.
-    let token = current_cancel_token().or_else(|| spec.deadline().map(CancelToken::with_deadline));
-    let mut session = CheckpointSession::open(config, spec)?;
-
-    let truncated = Cell::new(false);
-    let runs = match spec.stopping_rule()? {
-        None => {
-            let (runs, cut) = run_range(
-                &experiment,
-                spec.base_seed(),
-                0..spec.replications(),
-                &mut session,
-                token.as_ref(),
-            )?;
-            truncated.set(cut);
-            runs
+    // The checkpoint entry of this `(config, base seed)` pair: its stored
+    // prefix is served instead of re-simulated, and the driver re-persists
+    // the whole completed prefix after every `every_n` new replications.
+    let checkpoint = match spec.checkpoint() {
+        Some(policy) => {
+            let key = checkpoint::entry_key(&config.name, spec.base_seed());
+            // Copy this entry out first, so the rest of the file is freed
+            // before its runs are restored.
+            let stored = checkpoint::load(&policy.path)?.entry(&key).map(<[StoredRun]>::to_vec);
+            let resumed = stored.unwrap_or_default().iter().map(restore_run).collect();
+            let persist = move |runs: &[RunResult]| {
+                checkpoint::update(&policy.path, &key, runs.iter().map(capture_run).collect())
+            };
+            Some(Checkpoint { resumed, every_n: policy.every_n, persist: Box::new(persist) })
         }
-        Some(rule) => run_to_precision(
-            &rule,
-            |range| -> Result<Vec<RunResult>, CfsError> {
-                let (batch, cut) =
-                    run_range(&experiment, spec.base_seed(), range, &mut session, token.as_ref())?;
-                if cut {
-                    truncated.set(true);
-                }
-                Ok(batch)
-            },
-            |runs| {
-                if truncated.get() {
-                    // The deadline fired: accept the completed prefix as
-                    // final instead of scheduling further batches.
-                    return Ok(true);
-                }
+        None => None,
+    };
+    let drive = || {
+        run_to_precision(
+            &kernel,
+            &replications,
+            spec.base_seed(),
+            spec.workers(),
+            checkpoint,
+            |runs, rule| -> Result<bool, CfsError> {
                 let m = MeasureStats::from_runs(config, horizon_hours, runs)?;
                 for stats in [&m.cfs, &m.storage, &m.cu, &m.replacements, &m.oss_down] {
                     if !rule.met_by(&confidence_interval(stats, level)?) {
@@ -301,15 +191,17 @@ pub fn evaluate(config: &ClusterConfig, spec: &RunSpec) -> Result<ClusterDependa
                 }
                 Ok(true)
             },
-        )?,
+        )
     };
-
-    if truncated.get() && runs.len() < 2 {
-        return Err(CfsError::DeadlineExpired {
-            scenario: config.name.clone(),
-            completed: runs.len(),
-        });
+    // A study installs one study-wide token ambiently (covering every
+    // scenario it schedules); a standalone evaluation derives its own from
+    // the spec's deadline.
+    let standalone = spec.deadline().filter(|_| current_cancel_token().is_none());
+    let (runs, truncated) = match standalone {
+        Some(deadline) => cancel_scope(&CancelToken::with_deadline(deadline), drive),
+        None => drive(),
     }
+    .map_err(|e| e.in_scenario(&config.name))?;
 
     let m = MeasureStats::from_runs(config, horizon_hours, &runs)?;
     Ok(ClusterDependability {
@@ -321,7 +213,7 @@ pub fn evaluate(config: &ClusterConfig, spec: &RunSpec) -> Result<ClusterDependa
         mean_oss_pairs_down: confidence_interval(&m.oss_down, level)?,
         replications: runs.len(),
         horizon_hours,
-        truncated: truncated.get(),
+        truncated,
     })
 }
 

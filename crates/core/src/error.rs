@@ -100,15 +100,35 @@ impl Error for CfsError {
     }
 }
 
+impl CfsError {
+    /// Names the scenario of a [`CfsError::DeadlineExpired`] raised below
+    /// the scenario layer (where the engines do not know it); every other
+    /// error passes through unchanged.
+    pub(crate) fn in_scenario(self, name: &str) -> CfsError {
+        match self {
+            CfsError::DeadlineExpired { scenario, completed } if scenario.is_empty() => {
+                CfsError::DeadlineExpired { scenario: name.to_string(), completed }
+            }
+            other => other,
+        }
+    }
+}
+
 impl From<SanError> for CfsError {
     fn from(e: SanError) -> Self {
-        CfsError::San(e)
+        match e {
+            SanError::Distribution(e @ DistError::DeadlineExpired { .. }) => e.into(),
+            e => CfsError::San(e),
+        }
     }
 }
 
 impl From<RaidError> for CfsError {
     fn from(e: RaidError) -> Self {
-        CfsError::Raid(e)
+        match e {
+            RaidError::Distribution(e @ DistError::DeadlineExpired { .. }) => e.into(),
+            e => CfsError::Raid(e),
+        }
     }
 }
 
@@ -118,9 +138,17 @@ impl From<LogError> for CfsError {
     }
 }
 
+/// A deadline that starved a replicated run, in whichever engine it fired,
+/// becomes the one typed [`CfsError::DeadlineExpired`]; its scenario is
+/// named at the scenario boundary.
 impl From<DistError> for CfsError {
     fn from(e: DistError) -> Self {
-        CfsError::Distribution(e)
+        match e {
+            DistError::DeadlineExpired { completed } => {
+                CfsError::DeadlineExpired { scenario: String::new(), completed }
+            }
+            e => CfsError::Distribution(e),
+        }
     }
 }
 
@@ -142,6 +170,19 @@ mod tests {
 
         let e: CfsError = DistError::EmptyData.into();
         assert!(matches!(e, CfsError::Distribution(_)));
+
+        // A starved run is the one typed deadline error, from any engine.
+        let starved = DistError::DeadlineExpired { completed: 1 };
+        for e in [
+            CfsError::from(starved.clone()),
+            SanError::Distribution(starved.clone()).into(),
+            RaidError::Distribution(starved).into(),
+        ] {
+            assert_eq!(
+                e.in_scenario("abe"),
+                CfsError::DeadlineExpired { scenario: "abe".into(), completed: 1 }
+            );
+        }
 
         let e = CfsError::InvalidConfig { reason: "zero nodes".into() };
         assert!(e.to_string().contains("zero nodes"));

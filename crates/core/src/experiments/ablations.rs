@@ -38,6 +38,9 @@ pub struct AblationResult {
     /// configurations, when an adaptive precision target lets points stop
     /// early).
     pub replications: usize,
+    /// Whether a deadline truncated any point's replications (each
+    /// estimate still covers a valid contiguous prefix).
+    pub truncated: bool,
 }
 
 impl AblationResult {
@@ -80,14 +83,23 @@ fn pessimistic_petascale_storage(
 /// Propagates configuration and simulation errors.
 pub fn ablation_raid_parity_with(spec: &RunSpec) -> Result<AblationResult, CfsError> {
     spec.validate()?;
+    let policy = spec.replication_policy()?;
     let mut points = Vec::new();
     let mut replications = 0usize;
+    let mut truncated = false;
     for geometry in [RaidGeometry::raid5_8p1(), RaidGeometry::raid6_8p2(), RaidGeometry::raid_8p3()]
     {
         let storage = pessimistic_petascale_storage(geometry, 4.0)?;
         let simulator = StorageSimulator::new(storage)?;
-        let summary = crate::experiments::run_storage(&simulator, spec, spec.base_seed())?;
+        let summary = simulator.run_with(
+            spec.horizon_hours(),
+            policy,
+            spec.base_seed(),
+            spec.confidence_level(),
+            spec.workers(),
+        )?;
         replications = replications.max(summary.replications);
+        truncated |= summary.truncated;
         points.push(AblationPoint {
             label: geometry.label(),
             availability: summary.availability,
@@ -98,6 +110,7 @@ pub fn ablation_raid_parity_with(spec: &RunSpec) -> Result<AblationResult, CfsEr
         name: "RAID parity width at petascale (0.6, 8.76% AFR)".into(),
         points,
         replications,
+        truncated,
     })
 }
 
@@ -109,13 +122,22 @@ pub fn ablation_raid_parity_with(spec: &RunSpec) -> Result<AblationResult, CfsEr
 /// Propagates configuration and simulation errors.
 pub fn ablation_repair_time_with(spec: &RunSpec) -> Result<AblationResult, CfsError> {
     spec.validate()?;
+    let policy = spec.replication_policy()?;
     let mut points = Vec::new();
     let mut replications = 0usize;
+    let mut truncated = false;
     for hours in [1.0, 4.0, 12.0] {
         let storage = pessimistic_petascale_storage(RaidGeometry::raid6_8p2(), hours)?;
         let simulator = StorageSimulator::new(storage)?;
-        let summary = crate::experiments::run_storage(&simulator, spec, spec.base_seed())?;
+        let summary = simulator.run_with(
+            spec.horizon_hours(),
+            policy,
+            spec.base_seed(),
+            spec.confidence_level(),
+            spec.workers(),
+        )?;
         replications = replications.max(summary.replications);
+        truncated |= summary.truncated;
         points.push(AblationPoint {
             label: format!("replacement = {hours} h"),
             availability: summary.availability,
@@ -126,6 +148,7 @@ pub fn ablation_repair_time_with(spec: &RunSpec) -> Result<AblationResult, CfsEr
         name: "Disk replacement time at petascale (8+2, 0.6, 8.76% AFR)".into(),
         points,
         replications,
+        truncated,
     })
 }
 
@@ -141,16 +164,23 @@ pub fn ablation_spare_oss_with(spec: &RunSpec) -> Result<AblationResult, CfsErro
     let spared = base.clone().with_spare_oss();
     let mut points = Vec::new();
     let mut replications = 0usize;
+    let mut truncated = false;
     for config in [base, spared] {
         let result = evaluate(&config, spec)?;
         replications = replications.max(result.replications);
+        truncated |= result.truncated;
         points.push(AblationPoint {
             label: config.name.clone(),
             availability: result.cfs_availability,
             secondary: Some(("cluster utility".into(), result.cluster_utility.point)),
         });
     }
-    Ok(AblationResult { name: "Standby spare OSS at petascale".into(), points, replications })
+    Ok(AblationResult {
+        name: "Standby spare OSS at petascale".into(),
+        points,
+        replications,
+        truncated,
+    })
 }
 
 /// Ablation: correlated-failure propagation probability `p` (Section 4.3)
@@ -163,12 +193,14 @@ pub fn ablation_correlation_with(spec: &RunSpec) -> Result<AblationResult, CfsEr
     spec.validate()?;
     let mut points = Vec::new();
     let mut replications = 0usize;
+    let mut truncated = false;
     for p in [0.0, 0.0075, 0.03] {
         let mut config = ClusterConfig::petascale();
         config.params.correlation_probability = p;
         config.name = format!("p = {p}");
         let result = evaluate(&config, spec)?;
         replications = replications.max(result.replications);
+        truncated |= result.truncated;
         points.push(AblationPoint {
             label: config.name.clone(),
             availability: result.cfs_availability,
@@ -179,6 +211,7 @@ pub fn ablation_correlation_with(spec: &RunSpec) -> Result<AblationResult, CfsEr
         name: "Correlated-failure probability at petascale".into(),
         points,
         replications,
+        truncated,
     })
 }
 

@@ -137,6 +137,9 @@ pub struct Fig2Result {
     /// Replications actually executed per point (the maximum across
     /// points, when an adaptive precision target lets points stop early).
     pub replications: usize,
+    /// Whether a deadline truncated any point's replications (each
+    /// estimate still covers a valid contiguous prefix).
+    pub truncated: bool,
 }
 
 impl Fig2Result {
@@ -184,20 +187,25 @@ pub fn figure2_storage_availability_with(
         capacities_tb.to_vec()
     };
 
+    let replications = spec.replication_policy()?;
     let mut series = Vec::new();
     let mut replications_used = 0usize;
+    let mut truncated = false;
     for (series_idx, config) in Fig2Config::paper_series().into_iter().enumerate() {
         let mut points = Vec::new();
         for (cap_idx, &capacity_tb) in capacities.iter().enumerate() {
             let storage = config.storage_for_capacity(capacity_tb)?;
             let total_disks = storage.total_disks();
             let simulator = StorageSimulator::new(storage)?;
-            let summary = crate::experiments::run_storage(
-                &simulator,
-                spec,
+            let summary = simulator.run_with(
+                spec.horizon_hours(),
+                replications,
                 spec.base_seed().wrapping_add((series_idx * 1000 + cap_idx) as u64),
+                spec.confidence_level(),
+                spec.workers(),
             )?;
             replications_used = replications_used.max(summary.replications);
+            truncated |= summary.truncated;
             points.push(Fig2Point {
                 capacity_tb,
                 total_disks,
@@ -207,7 +215,12 @@ pub fn figure2_storage_availability_with(
         }
         series.push(Fig2Series { label: config.label(), config, points });
     }
-    Ok(Fig2Result { series, horizon_hours: spec.horizon_hours(), replications: replications_used })
+    Ok(Fig2Result {
+        series,
+        horizon_hours: spec.horizon_hours(),
+        replications: replications_used,
+        truncated,
+    })
 }
 
 #[cfg(test)]

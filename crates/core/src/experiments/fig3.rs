@@ -46,6 +46,9 @@ pub struct Fig3Result {
     /// Replications actually executed per point (the maximum across
     /// points, when an adaptive precision target lets points stop early).
     pub replications: usize,
+    /// Whether a deadline truncated any point's replications (each
+    /// estimate still covers a valid contiguous prefix).
+    pub truncated: bool,
 }
 
 /// The AFRs plotted in the paper's Figure 3 (percent per year).
@@ -95,8 +98,10 @@ pub fn figure3_disk_replacements_with(
     let counts: Vec<u32> =
         if disk_counts.is_empty() { figure3_disk_counts() } else { disk_counts.to_vec() };
 
+    let replications = spec.replication_policy()?;
     let mut series = Vec::new();
     let mut replications_used = 0usize;
+    let mut truncated = false;
     for (series_idx, &afr) in FIGURE3_AFRS.iter().enumerate() {
         let disk = DiskModel { capacity_gb: 250.0, ..DiskModel::with_afr(afr, 0.7)? };
         let mut points = Vec::new();
@@ -112,12 +117,15 @@ pub fn figure3_disk_replacements_with(
             let storage =
                 StorageConfig { tiers, ddn_units: 1, disk, ..StorageConfig::abe_scratch() };
             let simulator = StorageSimulator::new(storage)?;
-            let summary = crate::experiments::run_storage(
-                &simulator,
-                spec,
+            let summary = simulator.run_with(
+                horizon_hours,
+                replications,
                 spec.base_seed().wrapping_add((series_idx * 100 + count_idx) as u64),
+                spec.confidence_level(),
+                spec.workers(),
             )?;
             replications_used = replications_used.max(summary.replications);
+            truncated |= summary.truncated;
             let analytic = expected_replacements_per_week(disks, &disk, horizon_hours)?;
             points.push(Fig3Point {
                 disks,
@@ -127,7 +135,7 @@ pub fn figure3_disk_replacements_with(
         }
         series.push(Fig3Series { label: format!("(0.7,{afr},8+2,4)"), afr_percent: afr, points });
     }
-    Ok(Fig3Result { series, horizon_hours, replications: replications_used })
+    Ok(Fig3Result { series, horizon_hours, replications: replications_used, truncated })
 }
 
 #[cfg(test)]

@@ -45,6 +45,9 @@ pub struct Fig4Result {
     /// across scale points, when an adaptive precision target lets points
     /// stop early).
     pub replications: usize,
+    /// Whether a deadline truncated any point's replications (each
+    /// estimate still covers a valid contiguous prefix).
+    pub truncated: bool,
 }
 
 /// The default capacity sweep for Figure 4 (a subset of the Figure 2 sweep,
@@ -105,12 +108,14 @@ pub fn figure4_cfs_availability_with(
 
     let mut points = Vec::new();
     let mut replications_used = 0usize;
+    let mut truncated = false;
     for (idx, &capacity_tb) in capacities.iter().enumerate() {
         let config = ClusterConfig::scaled_to_capacity(capacity_tb)?;
         let spared = config.clone().with_spare_oss();
         let base = evaluate(&config, &spec.offset_seed(idx as u64))?;
         let with_spare = evaluate(&spared, &spec.offset_seed(1000 + idx as u64))?;
         replications_used = replications_used.max(base.replications).max(with_spare.replications);
+        truncated |= base.truncated || with_spare.truncated;
         points.push(Fig4Point {
             capacity_tb,
             compute_nodes: config.compute_nodes,
@@ -122,7 +127,12 @@ pub fn figure4_cfs_availability_with(
             cfs_availability_spare_oss: with_spare.cfs_availability,
         });
     }
-    Ok(Fig4Result { points, horizon_hours: spec.horizon_hours(), replications: replications_used })
+    Ok(Fig4Result {
+        points,
+        horizon_hours: spec.horizon_hours(),
+        replications: replications_used,
+        truncated,
+    })
 }
 
 #[cfg(test)]

@@ -40,35 +40,3 @@ pub use tables::{
     table1_outages, table2_mount_failures, table3_jobs, table4_disk_failures, table5_parameters,
     Table1Result, Table2Result, Table3Result, Table4Result,
 };
-
-use crate::run::RunSpec;
-use crate::CfsError;
-use raidsim::{StorageSimulator, StorageSummary};
-
-/// Runs one storage Monte-Carlo point under the spec's replication policy:
-/// a fixed `run_with` block, or adaptive `run_until` batches when the spec
-/// carries a precision target. Every storage-side driver funnels through
-/// here so fixed and adaptive execution stay interchangeable.
-pub(crate) fn run_storage(
-    simulator: &StorageSimulator,
-    spec: &RunSpec,
-    seed: u64,
-) -> Result<StorageSummary, CfsError> {
-    let summary = match spec.stopping_rule()? {
-        None => simulator.run_with(
-            spec.horizon_hours(),
-            spec.replications(),
-            seed,
-            spec.confidence_level(),
-            spec.workers(),
-        )?,
-        Some(rule) => simulator.run_until(
-            spec.horizon_hours(),
-            &rule,
-            seed,
-            spec.confidence_level(),
-            spec.workers(),
-        )?,
-    };
-    Ok(summary)
-}

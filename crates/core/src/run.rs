@@ -9,7 +9,7 @@
 //! in one place, and the same spec drives a single configuration, a
 //! [`crate::scenario::Scenario`], or a whole [`crate::study::Study`].
 
-use probdist::stats::StoppingRule;
+use probdist::stats::{Replications, StoppingRule};
 use probdist::telemetry::TelemetryConfig;
 use serde::{Deserialize, Serialize};
 
@@ -100,13 +100,6 @@ pub struct CheckpointPolicy {
 /// whose measures are not rare ignore it).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum RareEventPolicy {
-    /// Importance sampling with failure biasing: simulate with failure
-    /// rates tilted up by `bias_factor` and weight every replication by
-    /// its likelihood ratio (see `sanet::rare`).
-    ImportanceSampling {
-        /// Multiplier applied to the targeted failure rates (> 1).
-        bias_factor: f64,
-    },
     /// Fixed-effort multilevel splitting over exposure depth (see
     /// `raidsim::splitting`): restart trials from the states that reached
     /// each intermediate exposure level.
@@ -381,6 +374,20 @@ impl RunSpec {
             .transpose()
     }
 
+    /// The replication policy every Monte-Carlo scenario hands its engine:
+    /// the precision target's stopping rule when one is set, the fixed
+    /// replication count otherwise.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`RunSpec::stopping_rule`].
+    pub fn replication_policy(&self) -> Result<Replications, CfsError> {
+        Ok(match self.stopping_rule()? {
+            Some(rule) => rule.into(),
+            None => self.replications.into(),
+        })
+    }
+
     /// A copy of this spec with the base seed offset by `offset` — used by
     /// sweep scenarios so every sweep point gets a well-separated seed while
     /// remaining a pure function of the study's base seed.
@@ -471,16 +478,6 @@ impl RunSpec {
             })?;
         }
         match self.rare_event {
-            Some(RareEventPolicy::ImportanceSampling { bias_factor })
-                if !(bias_factor.is_finite() && bias_factor > 1.0) =>
-            {
-                Err(CfsError::InvalidConfig {
-                    reason: format!(
-                        "run spec: importance-sampling bias factor must be finite and above 1 \
-                         (failures tilted *up*), got {bias_factor}"
-                    ),
-                })
-            }
             Some(RareEventPolicy::MultilevelSplitting { trials_per_level })
                 if !(2..=MAX_REPLICATIONS).contains(&trials_per_level) =>
             {
@@ -577,27 +574,16 @@ mod tests {
     #[test]
     fn rare_event_policy_round_trips_and_validates() {
         let spec = RunSpec::new()
-            .with_rare_event(RareEventPolicy::ImportanceSampling { bias_factor: 50.0 });
+            .with_rare_event(RareEventPolicy::MultilevelSplitting { trials_per_level: 256 });
         assert!(spec.validate().is_ok());
         assert_eq!(
             spec.rare_event(),
-            Some(&RareEventPolicy::ImportanceSampling { bias_factor: 50.0 })
+            Some(&RareEventPolicy::MultilevelSplitting { trials_per_level: 256 })
         );
         assert!(spec.clone().without_rare_event().rare_event().is_none());
         assert!(RunSpec::new().rare_event().is_none());
 
-        let splitting = RunSpec::new()
-            .with_rare_event(RareEventPolicy::MultilevelSplitting { trials_per_level: 256 });
-        assert!(splitting.validate().is_ok());
-
         // Invalid policies are named in the error.
-        for bad in [0.5, 1.0, 0.0, -3.0, f64::NAN, f64::INFINITY] {
-            let err = RunSpec::new()
-                .with_rare_event(RareEventPolicy::ImportanceSampling { bias_factor: bad })
-                .validate()
-                .unwrap_err();
-            assert!(err.to_string().contains("bias factor"), "{err}");
-        }
         for bad in [0, 1, MAX_REPLICATIONS + 1] {
             let err = RunSpec::new()
                 .with_rare_event(RareEventPolicy::MultilevelSplitting { trials_per_level: bad })

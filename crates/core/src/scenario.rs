@@ -314,7 +314,8 @@ impl Scenario for Figure2StorageAvailability {
         let result = figure2_storage_availability_with(&self.capacities_tb, spec)?;
         let mut output = ScenarioOutput::new(self.name())
             .with_table(result.to_table())
-            .with_replications_used(result.replications);
+            .with_replications_used(result.replications)
+            .with_truncated(result.truncated);
         for series in &result.series {
             // Both sweep endpoints: the small end is the ABE validation
             // point, the large end is the petascale claim.
@@ -352,7 +353,8 @@ impl Scenario for Figure3DiskReplacements {
         let result = figure3_disk_replacements_with(&self.disk_counts, spec)?;
         let mut output = ScenarioOutput::new(self.name())
             .with_table(result.to_table())
-            .with_replications_used(result.replications);
+            .with_replications_used(result.replications)
+            .with_truncated(result.truncated);
         for series in &result.series {
             // Both sweep endpoints: the 480-disk end is the paper's ABE
             // 0–2/week claim, the top end is the scaling cost argument.
@@ -394,7 +396,8 @@ impl Scenario for Figure4CfsAvailability {
         let result = figure4_cfs_availability_with(&self.capacities_tb, spec)?;
         let mut output = ScenarioOutput::new(self.name())
             .with_table(result.to_table())
-            .with_replications_used(result.replications);
+            .with_replications_used(result.replications)
+            .with_truncated(result.truncated);
         if let (Some(first), Some(last)) = (result.points.first(), result.points.last()) {
             output = output
                 .with_metric_ci("cfs_availability_first", &first.cfs_availability)
@@ -413,7 +416,8 @@ impl Scenario for Figure4CfsAvailability {
 fn ablation_output(name: &str, result: &AblationResult) -> ScenarioOutput {
     let mut output = ScenarioOutput::new(name)
         .with_table(result.to_table())
-        .with_replications_used(result.replications);
+        .with_replications_used(result.replications)
+        .with_truncated(result.truncated);
     for point in &result.points {
         output =
             output.with_metric_ci(format!("availability {}", point.label), &point.availability);

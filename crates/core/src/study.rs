@@ -247,6 +247,7 @@ impl Study {
                     outputs.push(output.with_elapsed_seconds(elapsed_seconds));
                 }
                 Some((ScenarioOutcome::Finished(Err(error)), elapsed_seconds)) => {
+                    let error = error.in_scenario(scenario);
                     // Deadline starvation is never fatal: the deadline is a
                     // study-wide policy doing exactly what it was asked to.
                     if abort && !matches!(error, CfsError::DeadlineExpired { .. }) {

@@ -280,6 +280,8 @@ pub struct PointOutcome {
     pub metrics: Vec<Metric>,
     /// Replications the point's evaluation actually used, if Monte-Carlo.
     pub replications_used: Option<usize>,
+    /// Whether a deadline truncated the point's replications.
+    pub truncated: bool,
     /// Optional human-readable design label (e.g. `"raid 8+2"`), rendered
     /// as its own table column — the way categorical axes (encoded as
     /// indices) stay legible.
@@ -321,6 +323,12 @@ impl PointOutcome {
     /// Records the replications spent on the point.
     pub fn with_replications_used(mut self, replications: usize) -> Self {
         self.replications_used = Some(replications);
+        self
+    }
+
+    /// Marks whether a deadline truncated the point's replications.
+    pub fn with_truncated(mut self, truncated: bool) -> Self {
+        self.truncated = truncated;
         self
     }
 }
@@ -451,7 +459,8 @@ impl Scenario for SweepScenario {
         for point in &points {
             let point_spec =
                 spec.offset_seed((point.index() as u64).wrapping_mul(POINT_SEED_STRIDE));
-            let outcome = (self.evaluator)(point, &point_spec)?;
+            let outcome =
+                (self.evaluator)(point, &point_spec).map_err(|e| e.in_scenario(&self.name))?;
             if let Some(used) = outcome.replications_used {
                 max_replications = Some(max_replications.map_or(used, |m| m.max(used)));
             }
@@ -554,7 +563,9 @@ impl Scenario for SweepScenario {
         }
 
         let winner_point = &points[winner_index];
-        let mut output = ScenarioOutput::new(self.name()).with_table(table);
+        let mut output = ScenarioOutput::new(self.name())
+            .with_table(table)
+            .with_truncated(outcomes.iter().any(|o| o.truncated));
         if let Some(max) = max_replications {
             output = output.with_replications_used(max);
         }

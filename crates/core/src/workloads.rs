@@ -26,6 +26,7 @@
 //! metrics for the winner selection.
 
 use probdist::rare::naive_replications_for;
+use probdist::stats::Replications;
 use raidsim::{
     DiskModel, RaidGeometry, ReplicationConfig, ReplicationSimulator, SplittingResult,
     StorageConfig, StorageSimulator, StorageSummary,
@@ -40,40 +41,6 @@ use crate::run::{RareEventPolicy, RunSpec};
 use crate::scenario::{Scenario, ScenarioOutput};
 use crate::sweep::{DesignPoint, DesignSpace, Objective, PointOutcome, SweepScenario};
 use crate::CfsError;
-
-/// Runs a storage Monte-Carlo engine under the spec's replication policy —
-/// the adaptive runner when a precision target is set, the fixed-count
-/// runner otherwise. The RAID and replication simulators share this exact
-/// run signature shape, so the spec-to-run mapping lives in one place.
-fn storage_summary_under(
-    spec: &RunSpec,
-    run_fixed: impl FnOnce(f64, usize, u64, f64, usize) -> Result<StorageSummary, raidsim::RaidError>,
-    run_adaptive: impl FnOnce(
-        f64,
-        &probdist::stats::StoppingRule,
-        u64,
-        f64,
-        usize,
-    ) -> Result<StorageSummary, raidsim::RaidError>,
-) -> Result<StorageSummary, CfsError> {
-    let summary = match spec.stopping_rule()? {
-        Some(rule) => run_adaptive(
-            spec.horizon_hours(),
-            &rule,
-            spec.base_seed(),
-            spec.confidence_level(),
-            spec.workers(),
-        )?,
-        None => run_fixed(
-            spec.horizon_hours(),
-            spec.replications(),
-            spec.base_seed(),
-            spec.confidence_level(),
-            spec.workers(),
-        )?,
-    };
-    Ok(summary)
-}
 
 /// One redundancy scheme of the [`ReplicationVsRaid`] comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -185,29 +152,22 @@ impl ReplicationVsRaid {
         let afr = point.value("afr_percent").expect("afr axis always present");
         let disk = DiskModel::with_afr(afr, DiskModel::abe_sata_250gb().weibull_shape)?;
 
+        let (horizon, seed, level) =
+            (spec.horizon_hours(), spec.base_seed(), spec.confidence_level());
+        let policy = spec.replication_policy()?;
         let (summary, raw_disks): (StorageSummary, u32) = match scheme {
             RedundancyScheme::Raid(geometry) => {
                 let config = self.raid_config(geometry, disk);
                 let disks = config.total_disks();
                 let sim = StorageSimulator::new(config)?;
-                let summary = storage_summary_under(
-                    spec,
-                    |h, r, s, c, w| sim.run_with(h, r, s, c, w),
-                    |h, rule, s, c, w| sim.run_until(h, rule, s, c, w),
-                )?;
-                (summary, disks)
+                (sim.run_with(horizon, policy, seed, level, spec.workers())?, disks)
             }
             RedundancyScheme::Replication { replicas } => {
                 let config =
                     ReplicationConfig::for_usable_capacity(self.usable_capacity_tb, replicas, disk);
                 let disks = config.disks;
                 let sim = ReplicationSimulator::new(config)?;
-                let summary = storage_summary_under(
-                    spec,
-                    |h, r, s, c, w| sim.run_with(h, r, s, c, w),
-                    |h, rule, s, c, w| sim.run_until(h, rule, s, c, w),
-                )?;
-                (summary, disks)
+                (sim.run_with(horizon, policy, seed, level, spec.workers())?, disks)
             }
         };
 
@@ -219,7 +179,8 @@ impl ReplicationVsRaid {
             .with_metric_ci("data_loss_events", &summary.data_loss_events)
             .with_metric("raw_disks", raw_disks as f64)
             .with_metric("storage_overhead", scheme.storage_overhead())
-            .with_replications_used(summary.replications))
+            .with_replications_used(summary.replications)
+            .with_truncated(summary.truncated))
     }
 
     fn sweep(&self) -> Result<SweepScenario, CfsError> {
@@ -328,15 +289,12 @@ impl BeowulfPerformabilitySweep {
         for reward in beowulf.rewards() {
             experiment.add_reward(reward);
         }
-        let summary = match spec.stopping_rule()? {
-            Some(rule) => experiment.run_until(rule, spec.base_seed())?,
-            None => experiment.run(spec.replications(), spec.base_seed())?,
-        };
+        let summary = experiment.run(spec.replication_policy()?, spec.base_seed())?;
         let mut outcome = PointOutcome::new();
         for name in [PERFORMABILITY, SERVICE_AVAILABILITY, HEAD_AVAILABILITY, MEAN_WORKERS_UP] {
             outcome = outcome.with_metric_ci(name, &summary.reward(name)?.interval);
         }
-        Ok(outcome.with_replications_used(summary.replications))
+        Ok(outcome.with_replications_used(summary.replications).with_truncated(summary.truncated))
     }
 
     fn sweep(&self) -> Result<SweepScenario, CfsError> {
@@ -411,9 +369,9 @@ const DEFAULT_TRIALS_PER_LEVEL: usize = 256;
 /// adaptive splitting loop (the target's min/max bound the *per-level*
 /// trial count); otherwise
 /// [`RareEventPolicy::MultilevelSplitting`] fixes the per-level effort,
-/// with a default of 256 trials. An
-/// [`RareEventPolicy::ImportanceSampling`] policy does not apply to these
-/// storage kernels and falls back to the default effort.
+/// with a default of 256 trials. Under a deadline, a point whose splitting
+/// estimate the token interrupts fails the sweep with
+/// [`CfsError::DeadlineExpired`]: an estimate needs every level.
 #[derive(Debug, Clone)]
 pub struct UltraReliableSweep {
     /// Usable capacity every scheme must provide, terabytes.
@@ -442,59 +400,28 @@ impl Default for UltraReliableSweep {
     }
 }
 
-/// Runs a splitting estimator under the spec's replication policy — the
-/// adaptive runner when a precision target is set, the fixed-effort runner
-/// otherwise (with the per-level trial count from the spec's
-/// [`RareEventPolicy`] or the default). Mirrors [`storage_summary_under`]:
-/// the RAID and replication simulators share this exact run-signature
-/// shape, so the spec-to-run mapping lives in one place.
-fn splitting_under(
-    spec: &RunSpec,
-    run_fixed: impl FnOnce(f64, usize, u64, f64, usize) -> Result<SplittingResult, raidsim::RaidError>,
-    run_adaptive: impl FnOnce(
-        f64,
-        &probdist::stats::StoppingRule,
-        u64,
-        f64,
-        usize,
-    ) -> Result<SplittingResult, raidsim::RaidError>,
-) -> Result<SplittingResult, CfsError> {
-    let result = match spec.stopping_rule()? {
-        Some(rule) => run_adaptive(
-            spec.horizon_hours(),
-            &rule,
-            spec.base_seed(),
-            spec.confidence_level(),
-            spec.workers(),
-        )?,
-        None => {
-            let trials = match spec.rare_event() {
-                Some(RareEventPolicy::MultilevelSplitting { trials_per_level }) => {
-                    *trials_per_level
-                }
-                _ => DEFAULT_TRIALS_PER_LEVEL,
-            };
-            run_fixed(
-                spec.horizon_hours(),
-                trials,
-                spec.base_seed(),
-                spec.confidence_level(),
-                spec.workers(),
-            )?
-        }
-    };
-    Ok(result)
-}
-
 impl UltraReliableSweep {
     /// Runs the splitting estimator for one scheme under the spec's
-    /// replication policy.
+    /// replication policy: adaptive rounds under a precision target,
+    /// otherwise the [`RareEventPolicy`]'s per-level effort (or the
+    /// default).
     fn split(
         &self,
         scheme: RedundancyScheme,
         disk: DiskModel,
         spec: &RunSpec,
     ) -> Result<(SplittingResult, u32), CfsError> {
+        let trials = match spec.replication_policy()? {
+            Replications::Fixed(_) => Replications::Fixed(match spec.rare_event() {
+                Some(RareEventPolicy::MultilevelSplitting { trials_per_level }) => {
+                    *trials_per_level
+                }
+                None => DEFAULT_TRIALS_PER_LEVEL,
+            }),
+            adaptive @ Replications::Adaptive(_) => adaptive,
+        };
+        let (horizon, seed, level) =
+            (spec.horizon_hours(), spec.base_seed(), spec.confidence_level());
         match scheme {
             RedundancyScheme::Raid(geometry) => {
                 // Reuse the equal-capacity provisioning of the MC sweep so
@@ -507,24 +434,20 @@ impl UltraReliableSweep {
                 let config = base.raid_config(geometry, disk);
                 let disks = config.total_disks();
                 let sim = StorageSimulator::new(config)?;
-                let result = splitting_under(
-                    spec,
-                    |h, t, s, c, w| sim.splitting_loss_probability(h, t, s, c, w),
-                    |h, rule, s, c, w| sim.splitting_loss_probability_until(h, rule, s, c, w),
-                )?;
-                Ok((result, disks))
+                Ok((
+                    sim.splitting_loss_probability(horizon, trials, seed, level, spec.workers())?,
+                    disks,
+                ))
             }
             RedundancyScheme::Replication { replicas } => {
                 let config =
                     ReplicationConfig::for_usable_capacity(self.usable_capacity_tb, replicas, disk);
                 let disks = config.disks;
                 let sim = ReplicationSimulator::new(config)?;
-                let result = splitting_under(
-                    spec,
-                    |h, t, s, c, w| sim.splitting_loss_probability(h, t, s, c, w),
-                    |h, rule, s, c, w| sim.splitting_loss_probability_until(h, rule, s, c, w),
-                )?;
-                Ok((result, disks))
+                Ok((
+                    sim.splitting_loss_probability(horizon, trials, seed, level, spec.workers())?,
+                    disks,
+                ))
             }
         }
     }

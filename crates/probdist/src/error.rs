@@ -49,8 +49,8 @@ pub enum DistError {
         /// Number of iterations performed before giving up.
         iterations: usize,
     },
-    /// A sequential stopping rule was malformed (e.g. fewer than two
-    /// minimum replications, or a minimum above the maximum).
+    /// A replication policy was malformed: a fixed count or a stopping
+    /// rule's minimum below two, or a minimum above the maximum.
     InvalidStoppingRule {
         /// Explanation of the rejected combination.
         reason: String,
@@ -63,6 +63,12 @@ pub enum DistError {
     NonFiniteObservation {
         /// Number of non-finite observations rejected by the accumulator.
         count: u64,
+    },
+    /// A deadline cut a replicated run short before it completed the two
+    /// replications a confidence interval needs.
+    DeadlineExpired {
+        /// Replications that completed before the deadline fired.
+        completed: usize,
     },
 }
 
@@ -99,6 +105,11 @@ impl fmt::Display for DistError {
                     if *count == 1 { "" } else { "s" }
                 )
             }
+            DistError::DeadlineExpired { completed } => write!(
+                f,
+                "deadline expired before the run completed the two replications a confidence \
+                 interval needs ({completed} done)"
+            ),
         }
     }
 }

@@ -1,17 +1,21 @@
 //! The persistent work-stealing execution engine shared by every
 //! simulation layer.
 //!
+//! Two public entry points fan work out: [`replicate_with`], the
+//! replication fan-out every estimator's replications go through (via
+//! [`crate::stats::run_to_precision`], the replication driver), and
+//! [`Pool::run_indexed`], which a study uses to run its scenarios.
+//!
 //! # Scheduling model
 //!
 //! A [`Pool`] owns `workers - 1` **long-lived worker threads**, spawned
 //! once when the pool is created and parked on a condvar between fan-outs
 //! (the calling thread is the pool's remaining worker). A fan-out
-//! ([`Pool::run_indexed`] / [`Pool::run_indexed_with`]) registers itself
-//! in the pool's registry, wakes parked workers, and participates in the
-//! work itself; when the last index is claimed the workers detach and park
-//! again. No threads are spawned per fan-out, so scheduling a short study
-//! costs two condvar signals instead of a `thread::scope` spawn/join
-//! cycle.
+//! registers itself in the pool's registry, wakes parked workers, and
+//! participates in the work itself; when the last index is claimed the
+//! workers detach and park again. No threads are spawned per fan-out, so
+//! scheduling a short study costs two condvar signals instead of a
+//! `thread::scope` spawn/join cycle.
 //!
 //! Work is claimed in **adaptive batches**: each claim takes
 //! `max(1, remaining / (2 * workers))` consecutive indices from a shared
@@ -27,29 +31,35 @@
 //! While `run_indexed` executes, the pool installs itself as the thread's
 //! *ambient* pool (workers carry it permanently). A nested fan-out — e.g.
 //! a `Study` running scenarios, each of which fans out its own
-//! replications through [`replicate`] — registers on the **same** pool
-//! instead of spawning a second one: the process never runs more than
-//! `workers` busy threads. Workers prefer the **innermost** registered
-//! fan-out with unclaimed work, so nested replication fan-outs drain
-//! first and their waiting scenario can retire. A fan-out's submitting
-//! thread always participates in its own fan-out, which is what keeps the
-//! nesting deadlock-free: every blocked thread only waits on work that
-//! strictly deeper threads are actively executing.
+//! replications through [`replicate_with`] — registers on the **same**
+//! pool instead of spawning a second one: the process never runs more
+//! than `workers` busy threads. Workers prefer the **innermost**
+//! registered fan-out with unclaimed work, so nested replication fan-outs
+//! drain first and their waiting scenario can retire. A fan-out's
+//! submitting thread always participates in its own fan-out, which is what
+//! keeps the nesting deadlock-free: every blocked thread only waits on work
+//! that strictly deeper threads are actively executing.
 //!
 //! # Per-worker state
 //!
-//! [`Pool::run_indexed_with`] and [`replicate_with`] thread a per-worker
-//! scratch value (created by an `init` closure once per participating
-//! worker, reused across every index that worker claims) through the
-//! task. The simulation kernels use this to make a replication
-//! allocation-free: heaps, accumulators, and markings are allocated once
-//! per worker and reset per replication.
+//! [`replicate_with`] threads a per-worker scratch value (created by an
+//! `init` closure once per participating worker, reused across every index
+//! that worker claims) through the task. The simulation kernels use this
+//! to make a replication allocation-free: heaps, accumulators, and
+//! markings are allocated once per worker and reset per replication.
+//!
+//! # Cancellation
+//!
+//! [`replicate_with`] optionally takes a [`CancelToken`], checked between
+//! batch claims: when it fires, in-flight batches finish and the call
+//! returns the completed **contiguous index prefix** with a `truncated`
+//! flag. Without a token the fan-out contains no check at all.
 //!
 //! # Determinism
 //!
-//! [`replicate`] runs one closure per replication index, each with the RNG
-//! stream derived from `(root seed, index)`, and collects the results **in
-//! index order**. Because the stream depends only on the index and the
+//! [`replicate_with`] runs one closure per replication index, each with the
+//! RNG stream derived from `(root seed, index)`, and collects the results
+//! **in index order**. Because the stream depends only on the index and the
 //! collection order is fixed, the returned vector is bit-identical for any
 //! worker count, any batch size, and any scheduling interleaving — the
 //! invariant the SAN experiment runner, the storage Monte-Carlo, and the
@@ -71,8 +81,7 @@ use crate::SimRng;
 const MIN_PARALLEL_COUNT: usize = 4;
 
 /// A cooperative cancellation token threaded through the pool's batch-claim
-/// loop by the interruptible fan-out entry points
-/// ([`Pool::run_indexed_interruptible`], [`replicate_interruptible`]).
+/// loop by [`replicate_with`].
 ///
 /// A token fires either because [`CancelToken::cancel`] was called or
 /// because its optional deadline passed. Cancellation is *cooperative*:
@@ -85,8 +94,7 @@ const MIN_PARALLEL_COUNT: usize = 4;
 ///
 /// Once observed, the deadline latches into the cancelled flag, so
 /// repeated checks after expiry cost one relaxed atomic load. A fan-out
-/// that never supplies a token pays nothing — the non-interruptible paths
-/// contain no check at all.
+/// that never supplies a token pays nothing — it contains no check at all.
 #[derive(Clone, Debug)]
 pub struct CancelToken {
     inner: Arc<CancelState>,
@@ -180,7 +188,7 @@ pub fn current_cancel_token() -> Option<CancelToken> {
 
 /// The typed panic payload the engine forwards when a work unit panics:
 /// the original payload wrapped with the index of the work unit (for
-/// [`replicate`]-family fan-outs, the replication index) that raised it.
+/// [`replicate_with`], the replication index) that raised it.
 ///
 /// Downcast the payload caught from a fan-out to this type to recover the
 /// failing index and a displayable message; [`panic_message`] extracts the
@@ -816,50 +824,24 @@ impl Pool {
     /// The calling thread participates as a worker; parked pool threads
     /// are woken while unclaimed work remains. Every worker has the pool
     /// installed as its ambient pool, so nested fan-outs (e.g.
-    /// [`replicate`] called from inside `task`) register on the same pool
-    /// — one global scheduler, no oversubscription.
+    /// [`replicate_with`] called from inside `task`) register on the same
+    /// pool — one global scheduler, no oversubscription.
     pub fn run_indexed<T, F>(&self, count: usize, task: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        self.run_indexed_with(count, || (), move |index, _scratch| task(index))
+        self.fan_out(count, None, || (), move |index, ()| task(index)).0
     }
 
-    /// Like [`Pool::run_indexed`], but threads a per-worker scratch value
-    /// through the tasks: `init` runs once per participating worker and
-    /// the resulting state is passed (mutably) to every index that worker
-    /// executes. Results must not depend on which worker ran an index —
-    /// use the scratch to cache allocations, not to carry data between
-    /// indices.
-    pub fn run_indexed_with<T, S, I, F>(&self, count: usize, init: I, task: F) -> Vec<T>
-    where
-        T: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(usize, &mut S) -> T + Sync,
-    {
-        if count == 0 {
-            return Vec::new();
-        }
-        let _ambient = push_ambient(Arc::clone(&self.shared));
-        if self.shared.total <= 1 || count == 1 {
-            let mut state = init();
-            return (0..count).map(|index| task(index, &mut state)).collect();
-        }
-        let (results, completed) = fanout::execute(&self.shared, count, None, &init, &task);
-        debug_assert_eq!(completed, count, "uncancellable fan-out must run every index");
-        results
-    }
-
-    /// Like [`Pool::run_indexed_with`], but cooperatively cancellable:
-    /// `token` is checked between batch claims, in-flight batches finish
-    /// when it fires, and the call returns the results of the completed
-    /// **contiguous index prefix** plus a flag that is `true` when the
-    /// fan-out was truncated (fewer than `count` results).
-    pub fn run_indexed_interruptible<T, S, I, F>(
+    /// The one fan-out body: runs `task(index, scratch)` for `0..count`
+    /// with one `init` scratch per participating worker, stopping early
+    /// when `token` fires, and returns the completed index prefix plus
+    /// whether it was truncated.
+    fn fan_out<T, S, I, F>(
         &self,
         count: usize,
-        token: &CancelToken,
+        token: Option<&CancelToken>,
         init: I,
         task: F,
     ) -> (Vec<T>, bool)
@@ -868,30 +850,37 @@ impl Pool {
         I: Fn() -> S + Sync,
         F: Fn(usize, &mut S) -> T + Sync,
     {
-        if count == 0 {
-            return (Vec::new(), false);
-        }
         let _ambient = push_ambient(Arc::clone(&self.shared));
-        if self.shared.total <= 1 || count == 1 {
-            let mut state = init();
-            let mut results = Vec::with_capacity(count);
-            for index in 0..count {
-                if token.is_cancelled() {
-                    return (results, true);
-                }
-                results.push(task(index, &mut state));
-            }
-            return (results, false);
+        if self.shared.total <= 1 || count <= 1 {
+            return serial(0..count, token, init, task);
         }
-        let (results, completed) = fanout::execute(&self.shared, count, Some(token), &init, &task);
-        let truncated = completed < count;
-        (results, truncated)
+        let (results, completed) = fanout::execute(&self.shared, count, token, &init, &task);
+        (results, completed < count)
     }
 }
 
-/// The pool [`replicate`] falls back to when no ambient pool is installed:
-/// the process-wide cached pool, except under Miri, where leaked global
-/// threads would be reported — there every fan-out gets an owned,
+/// Runs `task` over `indices` on the calling thread with one scratch,
+/// checking `token` (when given) before every index.
+fn serial<T, S>(
+    indices: std::ops::Range<usize>,
+    token: Option<&CancelToken>,
+    init: impl FnOnce() -> S,
+    task: impl Fn(usize, &mut S) -> T,
+) -> (Vec<T>, bool) {
+    let mut state = init();
+    let mut results = Vec::with_capacity(indices.len());
+    for index in indices {
+        if token.is_some_and(CancelToken::is_cancelled) {
+            return (results, true);
+        }
+        results.push(task(index, &mut state));
+    }
+    (results, false)
+}
+
+/// The pool [`replicate_with`] falls back to when no ambient pool is
+/// installed: the process-wide cached pool, except under Miri, where leaked
+/// global threads would be reported — there every fan-out gets an owned,
 /// joined-on-drop pool instead.
 fn fallback_pool(workers: usize) -> Pool {
     if cfg!(miri) {
@@ -901,106 +890,34 @@ fn fallback_pool(workers: usize) -> Pool {
     }
 }
 
-/// Runs `run(index, rng)` for every index in `indices`, fanning the work
-/// across the ambient [`Pool`] when one is installed (a study's global
-/// pool) or the process-wide cached pool otherwise (`0` = the machine's
-/// available parallelism, `1` = force serial execution), and returns the
-/// results in index order.
+/// Runs `run(index, rng, scratch)` for every index in `indices`, fanning
+/// the work across the ambient [`Pool`] when one is installed (a study's
+/// global pool) or the process-wide cached pool otherwise (`0` = the
+/// machine's available parallelism, `1` = force serial execution), and
+/// returns the results in index order.
 ///
 /// Each call receives a fresh [`SimRng`] derived from `root` and its own
 /// index, so the output is a pure function of `(root, indices)` —
 /// independent of worker count, pool sharing, and scheduling order.
-pub fn replicate<T, F>(
-    indices: std::ops::Range<usize>,
-    root: &SimRng,
-    workers: usize,
-    run: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &mut SimRng) -> T + Sync,
-{
-    replicate_with(indices, root, workers, || (), move |index, rng, _scratch| run(index, rng))
-}
-
-/// Like [`replicate`], but threads a per-worker scratch value through the
-/// replications: `init` runs once per participating worker, and each
-/// replication that worker claims receives the same state mutably. The
-/// simulation kernels use this to reuse their heap allocations across
-/// replications; results must stay a pure function of `(root, index)`.
+/// `init` runs once per participating worker, and each replication that
+/// worker claims receives the same scratch mutably; the simulation kernels
+/// use it to reuse their heap allocations, so results must not depend on
+/// what an earlier replication left in it.
+///
+/// With a `token`, claiming stops when it fires, in-flight batches finish,
+/// and the call returns the completed **contiguous replication prefix**
+/// with `true` for "truncated" — bit-identical to the first results of an
+/// uninterrupted run, because replication `i` always draws the stream
+/// derived from `(root, i)`. Without one the whole range runs and the flag
+/// is `false`.
+///
+/// A panicking replication re-throws as a [`WorkUnitPanic`] carrying its
+/// replication index.
 pub fn replicate_with<T, S, I, F>(
     indices: std::ops::Range<usize>,
     root: &SimRng,
     workers: usize,
-    init: I,
-    run: F,
-) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(usize, &mut SimRng, &mut S) -> T + Sync,
-{
-    let count = indices.len();
-    let start = indices.start;
-    if count == 0 {
-        return Vec::new();
-    }
-    // Scheduled-work counter: grows as the adaptive stopping rule plans
-    // further batches, which is what the progress line's ETA tracks.
-    crate::telemetry::counter_add(crate::telemetry::MetricId::ReplicationsScheduled, count as u64);
-    if workers == 1 || count < MIN_PARALLEL_COUNT {
-        // Serial path: iterate the range directly — no pool, one scratch.
-        let mut scratch = init();
-        return indices
-            .map(|index| {
-                run_work_unit(index, || {
-                    run(index, &mut root.derive_stream(index as u64), &mut scratch)
-                })
-            })
-            .collect();
-    }
-    let pool = Pool::current().unwrap_or_else(|| fallback_pool(workers));
-    pool.run_indexed_with(count, init, |offset, scratch| {
-        let index = start + offset;
-        run_work_unit(index, || run(index, &mut root.derive_stream(index as u64), scratch))
-    })
-}
-
-/// Like [`replicate`], but cooperatively cancellable: when `token` fires,
-/// claiming stops, in-flight batches finish, and the call returns the
-/// results of the completed **contiguous replication prefix** plus a flag
-/// that is `true` when the fan-out was truncated. Because replication `i`
-/// always draws the stream derived from `(root, i)`, the returned prefix is
-/// bit-identical to the first `len` results of an uninterrupted run — a
-/// statistically valid (if smaller) sample.
-pub fn replicate_interruptible<T, F>(
-    indices: std::ops::Range<usize>,
-    root: &SimRng,
-    workers: usize,
-    token: &CancelToken,
-    run: F,
-) -> (Vec<T>, bool)
-where
-    T: Send,
-    F: Fn(usize, &mut SimRng) -> T + Sync,
-{
-    replicate_with_interruptible(
-        indices,
-        root,
-        workers,
-        token,
-        || (),
-        move |index, rng, _scratch| run(index, rng),
-    )
-}
-
-/// [`replicate_interruptible`] with per-worker scratch (the
-/// [`replicate_with`] analogue).
-pub fn replicate_with_interruptible<T, S, I, F>(
-    indices: std::ops::Range<usize>,
-    root: &SimRng,
-    workers: usize,
-    token: &CancelToken,
+    token: Option<&CancelToken>,
     init: I,
     run: F,
 ) -> (Vec<T>, bool)
@@ -1009,30 +926,15 @@ where
     I: Fn() -> S + Sync,
     F: Fn(usize, &mut SimRng, &mut S) -> T + Sync,
 {
-    let count = indices.len();
     let start = indices.start;
-    if count == 0 {
-        return (Vec::new(), false);
-    }
-    crate::telemetry::counter_add(crate::telemetry::MetricId::ReplicationsScheduled, count as u64);
-    if workers == 1 || count < MIN_PARALLEL_COUNT {
-        let mut scratch = init();
-        let mut results = Vec::with_capacity(count);
-        for index in indices {
-            if token.is_cancelled() {
-                return (results, true);
-            }
-            results.push(run_work_unit(index, || {
-                run(index, &mut root.derive_stream(index as u64), &mut scratch)
-            }));
-        }
-        return (results, false);
+    let unit = |index: usize, scratch: &mut S| {
+        run_work_unit(index, || run(index, &mut root.derive_stream(index as u64), scratch))
+    };
+    if workers == 1 || indices.len() < MIN_PARALLEL_COUNT {
+        return serial(indices, token, init, unit);
     }
     let pool = Pool::current().unwrap_or_else(|| fallback_pool(workers));
-    pool.run_indexed_interruptible(count, token, init, |offset, scratch| {
-        let index = start + offset;
-        run_work_unit(index, || run(index, &mut root.derive_stream(index as u64), scratch))
-    })
+    pool.fan_out(indices.len(), token, init, |offset, scratch| unit(start + offset, scratch))
 }
 
 #[cfg(test)]
@@ -1041,10 +943,24 @@ mod tests {
 
     use super::*;
 
+    /// The fan-out without scratch or token: the plain replication shape
+    /// most of these tests exercise.
+    fn draws<T: Send>(
+        indices: std::ops::Range<usize>,
+        root: &SimRng,
+        workers: usize,
+        run: impl Fn(usize, &mut SimRng) -> T + Sync,
+    ) -> Vec<T> {
+        let (results, truncated) =
+            replicate_with(indices, root, workers, None, || (), |i, rng, ()| run(i, rng));
+        assert!(!truncated, "a fan-out without a token always runs to completion");
+        results
+    }
+
     #[test]
     fn results_are_in_index_order() {
         let root = SimRng::seed_from_u64(1);
-        let out = replicate(0..100, &root, 7, |i, _| i);
+        let out = draws(0..100, &root, 7, |i, _| i);
         assert_eq!(out, (0..100).collect::<Vec<_>>());
     }
 
@@ -1052,9 +968,9 @@ mod tests {
     fn worker_count_does_not_change_results() {
         let root = SimRng::seed_from_u64(42);
         let draw = |i: usize, rng: &mut SimRng| (i, rng.next_u64());
-        let serial = replicate(0..37, &root, 1, draw);
+        let serial = draws(0..37, &root, 1, draw);
         for workers in [0, 2, 4, 16] {
-            assert_eq!(serial, replicate(0..37, &root, workers, draw), "workers = {workers}");
+            assert_eq!(serial, draws(0..37, &root, workers, draw), "workers = {workers}");
         }
     }
 
@@ -1062,15 +978,15 @@ mod tests {
     fn offset_ranges_reuse_the_same_streams() {
         let root = SimRng::seed_from_u64(7);
         let draw = |i: usize, rng: &mut SimRng| (i, rng.next_u64());
-        let full = replicate(0..20, &root, 4, draw);
-        let tail = replicate(10..20, &root, 4, draw);
+        let full = draws(0..20, &root, 4, draw);
+        let tail = draws(10..20, &root, 4, draw);
         assert_eq!(&full[10..], &tail[..]);
     }
 
     #[test]
     fn empty_range_is_fine() {
         let root = SimRng::seed_from_u64(3);
-        let out: Vec<u64> = replicate(0..0, &root, 4, |_, rng| rng.next_u64());
+        let out: Vec<u64> = draws(0..0, &root, 4, |_, rng| rng.next_u64());
         assert!(out.is_empty());
     }
 
@@ -1104,7 +1020,7 @@ mod tests {
     #[test]
     fn nested_fan_outs_share_one_budget() {
         // A 4-worker pool fanning out 3 outer tasks, each of which fans out
-        // 8 inner replications: the inner `replicate` calls must find the
+        // 8 inner replications: the inner `replicate_with` calls must find the
         // ambient pool, and the observed in-flight high-water mark must
         // stay within the budget (3 pool threads + the caller).
         let pool = Pool::new(4);
@@ -1112,7 +1028,7 @@ mod tests {
         let peak = AtomicUsize::new(1);
         let root = SimRng::seed_from_u64(9);
         let outer = pool.run_indexed(3, |outer_idx| {
-            let inner = replicate(0..8, &root, 4, |i, rng| {
+            let inner = draws(0..8, &root, 4, |i, rng| {
                 let now = live.fetch_add(1, Ordering::SeqCst) + 1;
                 peak.fetch_max(now, Ordering::SeqCst);
                 std::thread::sleep(std::time::Duration::from_millis(1));
@@ -1135,7 +1051,7 @@ mod tests {
         let run = |pool: &Pool| {
             pool.run_indexed(3, |outer| {
                 let root = root.derive_stream(outer as u64);
-                replicate(0..6, &root, 8, |_, rng| rng.next_u64())
+                draws(0..6, &root, 8, |_, rng| rng.next_u64())
             })
         };
         let serial = run(&Pool::new(1));
@@ -1233,13 +1149,13 @@ mod tests {
 
     #[test]
     fn replicate_panic_payload_carries_the_replication_index() {
-        // Through `replicate` with an offset range, the typed payload must
+        // Through `replicate_with` with an offset range, the typed payload must
         // carry the *replication* index (start + offset), serial and
         // parallel alike.
         let root = SimRng::seed_from_u64(5);
         for workers in [1, 4] {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                replicate(10..30, &root, workers, |i, _| {
+                draws(10..30, &root, workers, |i, _| {
                     assert!(i != 17, "kaboom");
                     i
                 })
@@ -1288,14 +1204,16 @@ mod tests {
     #[test]
     fn serial_interruptible_fan_out_truncates_deterministically() {
         // Serial path: the token is checked before every index, so firing
-        // it inside task 20 yields exactly the 21-element prefix.
-        let pool = Pool::new(1);
+        // it inside replication 20 yields exactly the 21-element prefix.
+        let root = SimRng::seed_from_u64(2);
         let token = CancelToken::new();
-        let (results, truncated) = pool.run_indexed_interruptible(
-            10_000,
-            &token,
+        let (results, truncated) = replicate_with(
+            0..10_000,
+            &root,
+            1,
+            Some(&token),
             || (),
-            |i, ()| {
+            |i, _, ()| {
                 if i == 20 {
                     token.cancel();
                 }
@@ -1314,21 +1232,28 @@ mod tests {
         // observed long before the index space is exhausted. Claiming
         // stops, in-flight batches finish, and the results are a
         // contiguous, correct prefix.
+        let root = SimRng::seed_from_u64(3);
         for workers in [2, 8] {
             let pool = Pool::new(workers);
             let token = CancelToken::new();
-            let (results, truncated) = pool.run_indexed_interruptible(
-                1000,
-                &token,
-                || (),
-                |i, ()| {
-                    if i == 20 {
-                        token.cancel();
-                    }
-                    std::thread::sleep(std::time::Duration::from_micros(200));
-                    i
-                },
-            );
+            // Submitted from inside the pool, so the fan-out runs on it.
+            let (results, truncated) = pool.run_indexed(1, |_| {
+                replicate_with(
+                    0..1000,
+                    &root,
+                    workers,
+                    Some(&token),
+                    || (),
+                    |i, _, ()| {
+                        if i == 20 {
+                            token.cancel();
+                        }
+                        std::thread::sleep(std::time::Duration::from_micros(200));
+                        i
+                    },
+                )
+            })[0]
+                .clone();
             assert!(truncated, "workers = {workers}: the fan-out must report truncation");
             let len = results.len();
             assert!((1..1000).contains(&len), "workers = {workers}: len = {len}");
@@ -1343,12 +1268,12 @@ mod tests {
     #[test]
     fn interruptible_fan_out_without_cancellation_is_complete_and_identical() {
         let never = CancelToken::new();
-        let value = |i: usize, rng: &mut SimRng| (i, rng.next_u64());
+        let value = |i: usize, rng: &mut SimRng, (): &mut ()| (i, rng.next_u64());
         let root = SimRng::seed_from_u64(77);
-        let baseline = replicate(0..100, &root, 1, value);
+        let (baseline, _) = replicate_with(0..100, &root, 1, None, || (), value);
         for workers in [1, 2, 8] {
             let (results, truncated) =
-                replicate_interruptible(0..100, &root, workers, &never, value);
+                replicate_with(0..100, &root, workers, Some(&never), || (), value);
             assert!(!truncated, "workers = {workers}");
             assert_eq!(results, baseline, "workers = {workers}");
         }
@@ -1358,17 +1283,23 @@ mod tests {
     fn pre_cancelled_fan_out_runs_nothing() {
         let token = CancelToken::new();
         token.cancel();
+        let root = SimRng::seed_from_u64(4);
         let pool = Pool::new(4);
         let ran = AtomicUsize::new(0);
-        let (results, truncated) = pool.run_indexed_interruptible(
-            100,
-            &token,
-            || (),
-            |i, ()| {
-                ran.fetch_add(1, Ordering::Relaxed);
-                i
-            },
-        );
+        let (results, truncated) = pool.run_indexed(1, |_| {
+            replicate_with(
+                0..100,
+                &root,
+                4,
+                Some(&token),
+                || (),
+                |i, _, ()| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    i
+                },
+            )
+        })[0]
+            .clone();
         assert!(truncated);
         assert!(results.is_empty(), "no batch may be claimed after the token fired");
         assert_eq!(ran.load(Ordering::Relaxed), 0);
@@ -1377,12 +1308,13 @@ mod tests {
     #[test]
     fn replicate_with_matches_replicate_and_reuses_scratch() {
         let root = SimRng::seed_from_u64(99);
-        let plain = replicate(0..40, &root, 4, |i, rng| (i, rng.next_u64()));
+        let plain = draws(0..40, &root, 4, |i, rng| (i, rng.next_u64()));
         let inits = AtomicUsize::new(0);
-        let with_scratch = replicate_with(
+        let (with_scratch, _) = replicate_with(
             0..40,
             &root,
             4,
+            None,
             || {
                 inits.fetch_add(1, Ordering::SeqCst);
                 Vec::<u64>::new()
@@ -1414,12 +1346,15 @@ mod tests {
     }
 
     #[test]
-    fn run_indexed_with_threads_scratch_through_serial_path() {
-        let pool = Pool::new(1);
-        let out = pool.run_indexed_with(
-            5,
+    fn serial_fan_out_threads_one_scratch_in_index_order() {
+        let root = SimRng::seed_from_u64(6);
+        let (out, _) = replicate_with(
+            0..5,
+            &root,
+            1,
+            None,
             || 0usize,
-            |i, calls| {
+            |i, _, calls| {
                 *calls += 1;
                 (i, *calls)
             },

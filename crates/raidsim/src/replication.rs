@@ -56,11 +56,11 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use probdist::stats::{confidence_interval, run_to_precision, RunningStats, StoppingRule};
+use probdist::stats::Replications;
 use probdist::{Distribution, SimRng, Weibull};
 use serde::{Deserialize, Serialize};
 
-use crate::storage::{summarise_runs, validate_run};
+use crate::storage::{run_missions, MissionKernel};
 use crate::{DiskModel, RaidError, StorageRunStats, StorageSummary};
 
 /// Configuration of an n-way replicated object store.
@@ -214,107 +214,46 @@ impl ReplicationSimulator {
         &self.config
     }
 
-    /// Runs `replications` independent missions of `horizon_hours` each at
-    /// the 95 % confidence level with an auto-sized worker pool.
+    /// Runs independent missions of `horizon_hours` each under
+    /// `replications` at the 95 % confidence level with an auto-sized
+    /// worker pool.
     ///
     /// # Errors
     ///
-    /// Returns [`RaidError::InvalidRun`] for a non-positive horizon or
-    /// fewer than two replications.
+    /// Same conditions as [`ReplicationSimulator::run_with`].
     pub fn run(
         &self,
         horizon_hours: f64,
-        replications: usize,
+        replications: impl Into<Replications>,
         seed: u64,
     ) -> Result<StorageSummary, RaidError> {
         self.run_with(horizon_hours, replications, seed, 0.95, 0)
     }
 
-    /// Runs `replications` independent missions with an explicit confidence
-    /// level and worker count. Replication `i` draws from the RNG stream
-    /// derived from its own index and results reduce in index order, so the
-    /// statistics are bit-identical for any worker count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RaidError::InvalidRun`] for a non-positive horizon, fewer
-    /// than two replications, or a confidence level outside `(0, 1)`.
-    pub fn run_with(
-        &self,
-        horizon_hours: f64,
-        replications: usize,
-        seed: u64,
-        confidence_level: f64,
-        workers: usize,
-    ) -> Result<StorageSummary, RaidError> {
-        validate_run(horizon_hours, confidence_level)?;
-        if replications < 2 {
-            return Err(RaidError::InvalidRun {
-                reason: "at least two replications are required".into(),
-            });
-        }
-        let root = SimRng::seed_from_u64(seed);
-        // Each worker keeps one mission as scratch: after the first
-        // replication, later missions re-prime the same event queue and
-        // per-disk state in place instead of allocating afresh.
-        let runs: Vec<StorageRunStats> = probdist::parallel::replicate_with(
-            0..replications,
-            &root,
-            workers,
-            || None,
-            |_, rng, slot| self.run_once_reusing(horizon_hours, rng, slot),
-        );
-        summarise_runs(&runs, horizon_hours, confidence_level)
-    }
-
-    /// Runs replication batches until `rule` is satisfied (availability and
-    /// replacements-per-week both within the target relative half-width) or
-    /// its cap is reached — the same adaptive contract as
-    /// [`crate::StorageSimulator::run_until`]: an adaptive run of `n`
-    /// replications is bit-identical to a fixed run of `n`.
+    /// Runs independent missions under `replications` — a fixed count, or
+    /// a [`probdist::stats::StoppingRule`] on availability and
+    /// replacements-per-week — with an explicit confidence level and worker
+    /// count, exactly like [`crate::StorageSimulator::run_with`]: replication
+    /// `i` draws from the RNG stream derived from its own index and results
+    /// reduce in index order, so the statistics are bit-identical for any
+    /// worker count, and an adaptive run of `n` replications matches a
+    /// fixed run of `n`.
     ///
     /// # Errors
     ///
     /// Returns [`RaidError::InvalidRun`] for a non-positive horizon or a
-    /// confidence level outside `(0, 1)`.
-    pub fn run_until(
+    /// confidence level outside `(0, 1)`, and [`RaidError::Distribution`]
+    /// for a fixed count below two or a deadline that left fewer than two
+    /// replications.
+    pub fn run_with(
         &self,
         horizon_hours: f64,
-        rule: &StoppingRule,
+        replications: impl Into<Replications>,
         seed: u64,
         confidence_level: f64,
         workers: usize,
     ) -> Result<StorageSummary, RaidError> {
-        validate_run(horizon_hours, confidence_level)?;
-        let root = SimRng::seed_from_u64(seed);
-        let runs = run_to_precision(
-            rule,
-            |range| -> Result<Vec<StorageRunStats>, RaidError> {
-                Ok(probdist::parallel::replicate_with(
-                    range,
-                    &root,
-                    workers,
-                    || None,
-                    |_, rng, slot| self.run_once_reusing(horizon_hours, rng, slot),
-                ))
-            },
-            |runs: &[StorageRunStats]| -> Result<bool, RaidError> {
-                let availability: RunningStats =
-                    runs.iter().map(super::storage::StorageRunStats::availability).collect();
-                let per_week: RunningStats = runs
-                    .iter()
-                    .map(super::storage::StorageRunStats::replacements_per_week)
-                    .collect();
-                for stats in [&availability, &per_week] {
-                    let interval = confidence_interval(stats, confidence_level)?;
-                    if !rule.met_by(&interval) {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            },
-        )?;
-        summarise_runs(&runs, horizon_hours, confidence_level)
+        run_missions(self, horizon_hours, &replications.into(), seed, confidence_level, workers)
     }
 
     /// Runs a single mission and returns its raw statistics.
@@ -322,29 +261,6 @@ impl ReplicationSimulator {
         let mut mission = self.start_mission(horizon_hours, rng);
         mission.advance(rng, None);
         let stats = mission.finish();
-        super::storage::record_mission(&stats);
-        stats
-    }
-
-    /// Runs a single mission, reusing the mission in `slot` as scratch when
-    /// present (and stashing a fresh one there otherwise). Re-priming draws
-    /// initial lifetimes in exactly the order
-    /// [`ReplicationSimulator::start_mission`] does, so the statistics are
-    /// bit-identical to [`ReplicationSimulator::run_once`] with the same RNG
-    /// stream — only the allocations differ.
-    pub fn run_once_reusing(
-        &self,
-        horizon_hours: f64,
-        rng: &mut SimRng,
-        slot: &mut Option<ReplicationMission>,
-    ) -> StorageRunStats {
-        match slot {
-            Some(mission) => mission.reprime(horizon_hours, rng),
-            None => *slot = Some(self.start_mission(horizon_hours, rng)),
-        }
-        let mission = slot.as_mut().expect("mission was just initialised");
-        mission.advance(rng, None);
-        let stats = mission.stats();
         super::storage::record_mission(&stats);
         stats
     }
@@ -375,6 +291,31 @@ impl ReplicationSimulator {
             data_loss_events: 0,
             replacements: 0,
         }
+    }
+}
+
+impl MissionKernel for ReplicationSimulator {
+    type Mission = ReplicationMission;
+
+    /// Re-priming draws initial lifetimes in exactly the order
+    /// [`ReplicationSimulator::start_mission`] does, so the statistics are
+    /// bit-identical to [`ReplicationSimulator::run_once`] with the same
+    /// RNG stream — only the allocations differ.
+    fn run_once_reusing(
+        &self,
+        horizon_hours: f64,
+        rng: &mut SimRng,
+        slot: &mut Option<ReplicationMission>,
+    ) -> StorageRunStats {
+        match slot {
+            Some(mission) => mission.reprime(horizon_hours, rng),
+            None => *slot = Some(self.start_mission(horizon_hours, rng)),
+        }
+        let mission = slot.as_mut().expect("mission was just initialised");
+        mission.advance(rng, None);
+        let stats = mission.stats();
+        super::storage::record_mission(&stats);
+        stats
     }
 }
 
@@ -614,6 +555,7 @@ impl ReplicationMission {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use probdist::stats::StoppingRule;
 
     fn quick_config() -> ReplicationConfig {
         ReplicationConfig::for_usable_capacity(96.0, 3, DiskModel::abe_sata_250gb())
@@ -798,7 +740,7 @@ mod tests {
     fn adaptive_run_stops_within_bounds_and_matches_fixed() {
         let sim = ReplicationSimulator::new(quick_config()).unwrap();
         let rule = StoppingRule::new(0.25, 4, 32).unwrap();
-        let adaptive = sim.run_until(8760.0, &rule, 9, 0.95, 2).unwrap();
+        let adaptive = sim.run_with(8760.0, rule, 9, 0.95, 2).unwrap();
         assert!(
             adaptive.replications >= 4 && adaptive.replications <= 32,
             "used {} replications",
@@ -806,6 +748,6 @@ mod tests {
         );
         let fixed = sim.run_with(8760.0, adaptive.replications, 9, 0.95, 1).unwrap();
         assert_eq!(adaptive, fixed);
-        assert!(sim.run_until(0.0, &rule, 9, 0.95, 1).is_err());
+        assert!(sim.run_with(0.0, rule, 9, 0.95, 1).is_err());
     }
 }

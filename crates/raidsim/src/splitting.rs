@@ -39,6 +39,15 @@
 //! `(simulator, horizon, trials, seed)` — bit-identical at any worker
 //! count, pinned by the workspace determinism suite.
 //!
+//! # Deadlines
+//!
+//! Splitting is a level loop, not a replication loop, so it keeps its own
+//! driver: every level fans its trials out through
+//! [`probdist::parallel::replicate_with`] without a token, and the ambient
+//! cancellation token is checked before each level of each adaptive
+//! round. An estimate needs every level, so a fired token is
+//! [`probdist::DistError::DeadlineExpired`], never a partial product.
+//!
 //! # Example
 //!
 //! ```
@@ -56,9 +65,11 @@
 //! # }
 //! ```
 
+use probdist::parallel::{current_cancel_token, replicate_with, CancelToken};
 use probdist::rare::{splitting_probability, LevelPassage, RareEventEstimate};
-use probdist::stats::StoppingRule;
-use probdist::SimRng;
+use probdist::stats::Replications;
+use probdist::telemetry::{counter_add, MetricId};
+use probdist::{DistError, SimRng};
 
 use crate::storage::validate_run;
 use crate::{
@@ -114,19 +125,20 @@ pub struct SplittingResult {
     pub loss_level: u32,
 }
 
-/// The generic fixed-effort splitting driver: estimates
+/// The fixed-effort splitting driver: estimates
 /// `P(exposure peak ≥ loss_level within the mission horizon)`.
 ///
 /// `start` builds a fresh stage-1 mission from an RNG stream. Trial `i` of
 /// level `k` draws from `seed`-derived stream `(k, i)`; stage `k > 1`
 /// restarts trial `i` from snapshot `i mod (number of snapshots)` of the
-/// previous stage.
+/// previous stage. `token` is checked before every level.
 fn estimate_loss_probability<M, F>(
     loss_level: u32,
     trials_per_level: usize,
     seed: u64,
     confidence_level: f64,
     workers: usize,
+    token: Option<&CancelToken>,
     start: F,
 ) -> Result<SplittingResult, RaidError>
 where
@@ -147,24 +159,31 @@ where
     let mut passages: Vec<LevelPassage> = Vec::with_capacity(loss_level as usize);
     let mut snapshots: Vec<M> = Vec::new();
     for level in 1..=loss_level {
+        if token.is_some_and(CancelToken::is_cancelled) {
+            return Err(DistError::DeadlineExpired { completed: 0 }.into());
+        }
         // Per-level root stream: trial i then derives (root, i) inside
-        // `replicate`, so every (level, trial) pair is well separated and
-        // the batch is worker-count invariant.
+        // `replicate_with`, so every (level, trial) pair is well separated
+        // and the batch is worker-count invariant.
         let root = SimRng::seed_from_u64(seed).derive_stream(level as u64);
         let keep_states = level < loss_level;
-        let outcomes: Vec<(bool, Option<M>)> =
-            probdist::parallel::replicate(0..trials_per_level, &root, workers, |i, rng| {
+        counter_add(MetricId::ReplicationsScheduled, trials_per_level as u64);
+        let (outcomes, _) = replicate_with(
+            0..trials_per_level,
+            &root,
+            workers,
+            None,
+            || (),
+            |i, rng, ()| {
                 let mut mission =
                     if level == 1 { start(rng) } else { snapshots[i % snapshots.len()].clone() };
                 let reached = mission.advance_to_exposure(level, rng);
                 debug_assert!(!reached || mission.exposure_peak() >= level);
                 (reached, (reached && keep_states).then_some(mission))
-            });
-        let hits = outcomes.iter().filter(|(reached, _)| *reached).count();
-        probdist::telemetry::counter_add(
-            probdist::telemetry::MetricId::SplittingLevelHits,
-            hits as u64,
+            },
         );
+        let hits = outcomes.iter().filter(|(reached, _)| *reached).count();
+        counter_add(MetricId::SplittingLevelHits, hits as u64);
         passages.push(LevelPassage { hits, trials: trials_per_level });
         if hits == 0 {
             // No trial passed: the product estimate is zero and deeper
@@ -186,17 +205,21 @@ where
     })
 }
 
-/// The adaptive wrapper: reruns the fixed-effort estimate with a doubling
-/// per-level trial count until the relative half-width target (and the
-/// rule's minimum non-zero final-level support,
-/// [`StoppingRule::met_by_support`]) is met or the per-level cap is
-/// reached. Each round is deterministic, so the whole loop is a pure
-/// function of `(rule, seed)`; the returned estimate's `replications`
-/// records the total trials spent across *all* rounds — the honest cost
-/// the variance-reduction factor is recomputed against.
-fn estimate_until<M, F>(
+/// Splitting under a trial policy. A fixed count is one fixed-effort
+/// round. A [`StoppingRule`](probdist::stats::StoppingRule) reruns the
+/// fixed-effort estimate with a doubling per-level trial count until the
+/// relative half-width target (and the rule's minimum non-zero final-level
+/// support,
+/// [`StoppingRule::met_by_support`](probdist::stats::StoppingRule::met_by_support))
+/// is met or the per-level cap is reached. Each round is deterministic, so
+/// the whole loop is a pure function of `(rule, seed)`; the returned
+/// estimate's `replications` records the total trials spent across *all*
+/// rounds — the honest cost the variance-reduction factor is recomputed
+/// against. The ambient cancellation token is read once and checked before
+/// every level of every round.
+fn estimate<M, F>(
     loss_level: u32,
-    rule: &StoppingRule,
+    trials: &Replications,
     seed: u64,
     confidence_level: f64,
     workers: usize,
@@ -206,14 +229,26 @@ where
     M: SplittableMission,
     F: Fn(&mut SimRng) -> M + Sync,
 {
-    let mut trials = rule.min_replications().max(2);
+    let token = current_cancel_token();
+    let (mut round, rule) = match trials {
+        Replications::Fixed(trials) => (*trials, None),
+        Replications::Adaptive(rule) => (rule.min_replications().max(2), Some(rule)),
+    };
     let mut spent = 0usize;
     loop {
-        let mut result =
-            estimate_loss_probability(loss_level, trials, seed, confidence_level, workers, &start)?;
+        let mut result = estimate_loss_probability(
+            loss_level,
+            round,
+            seed,
+            confidence_level,
+            workers,
+            token.as_ref(),
+            &start,
+        )?;
+        let Some(rule) = rule else { return Ok(result) };
         spent += result.estimate.replications;
         let met = rule.met_by_support(&result.estimate.interval, result.estimate.hits);
-        if met || trials >= rule.max_replications() {
+        if met || round >= rule.max_replications() {
             // Account the full spend and rescale the variance-reduction
             // factor to it (naive-equivalent ESS is unchanged).
             result.estimate.replications = spent;
@@ -223,59 +258,35 @@ where
             }
             return Ok(result);
         }
-        trials = (trials * 2).min(rule.max_replications());
+        round = (round * 2).min(rule.max_replications());
     }
 }
 
 impl ReplicationSimulator {
     /// Estimates the probability of any data loss within `horizon_hours`
-    /// by fixed-effort multilevel splitting over exposure depth (levels
-    /// `1..=replicas`), with `trials_per_level` trials per stage.
+    /// by multilevel splitting over exposure depth (levels
+    /// `1..=replicas`): with a fixed `trials` count, that many trials per
+    /// stage; with a [`StoppingRule`](probdist::stats::StoppingRule), the
+    /// per-level trial count doubles (from the rule's minimum to its cap)
+    /// until the loss-probability interval meets the rule's relative target
+    /// with sufficient final-level support.
     ///
     /// # Errors
     ///
     /// Returns [`RaidError::InvalidRun`] for a non-positive horizon, a
     /// confidence level outside `(0, 1)`, or fewer than two trials per
-    /// level.
+    /// level, and [`RaidError::Distribution`] when the ambient deadline
+    /// fired before the estimate completed.
     pub fn splitting_loss_probability(
         &self,
         horizon_hours: f64,
-        trials_per_level: usize,
+        trials: impl Into<Replications>,
         seed: u64,
         confidence_level: f64,
         workers: usize,
     ) -> Result<SplittingResult, RaidError> {
         validate_run(horizon_hours, confidence_level)?;
-        estimate_loss_probability(
-            self.config().replicas,
-            trials_per_level,
-            seed,
-            confidence_level,
-            workers,
-            |rng| self.start_mission(horizon_hours, rng),
-        )
-    }
-
-    /// Adaptive variant of
-    /// [`ReplicationSimulator::splitting_loss_probability`]: doubles the
-    /// per-level trial count (from the rule's minimum to its cap) until
-    /// the loss-probability interval meets the rule's relative target with
-    /// sufficient final-level support.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RaidError::InvalidRun`] for a non-positive horizon or a
-    /// confidence level outside `(0, 1)`.
-    pub fn splitting_loss_probability_until(
-        &self,
-        horizon_hours: f64,
-        rule: &StoppingRule,
-        seed: u64,
-        confidence_level: f64,
-        workers: usize,
-    ) -> Result<SplittingResult, RaidError> {
-        validate_run(horizon_hours, confidence_level)?;
-        estimate_until(self.config().replicas, rule, seed, confidence_level, workers, |rng| {
+        estimate(self.config().replicas, &trials.into(), seed, confidence_level, workers, |rng| {
             self.start_mission(horizon_hours, rng)
         })
     }
@@ -283,55 +294,27 @@ impl ReplicationSimulator {
 
 impl StorageSimulator {
     /// Estimates the probability of any data loss within `horizon_hours`
-    /// by fixed-effort multilevel splitting over exposure depth — the
-    /// concurrent failed-disk count within a single tier, levels
-    /// `1..=parity + 1`.
+    /// by multilevel splitting over exposure depth — the concurrent
+    /// failed-disk count within a single tier, levels `1..=parity + 1` —
+    /// under the same fixed or adaptive trial policy as
+    /// [`ReplicationSimulator::splitting_loss_probability`].
     ///
     /// # Errors
     ///
-    /// Returns [`RaidError::InvalidRun`] for a non-positive horizon, a
-    /// confidence level outside `(0, 1)`, or fewer than two trials per
-    /// level.
+    /// Same conditions as
+    /// [`ReplicationSimulator::splitting_loss_probability`].
     pub fn splitting_loss_probability(
         &self,
         horizon_hours: f64,
-        trials_per_level: usize,
+        trials: impl Into<Replications>,
         seed: u64,
         confidence_level: f64,
         workers: usize,
     ) -> Result<SplittingResult, RaidError> {
         validate_run(horizon_hours, confidence_level)?;
-        estimate_loss_probability(
+        estimate(
             self.config().geometry.parity_disks + 1,
-            trials_per_level,
-            seed,
-            confidence_level,
-            workers,
-            |rng| self.start_mission(horizon_hours, rng),
-        )
-    }
-
-    /// Adaptive variant of
-    /// [`StorageSimulator::splitting_loss_probability`]: doubles the
-    /// per-level trial count until the loss-probability interval meets the
-    /// rule's relative target with sufficient final-level support.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RaidError::InvalidRun`] for a non-positive horizon or a
-    /// confidence level outside `(0, 1)`.
-    pub fn splitting_loss_probability_until(
-        &self,
-        horizon_hours: f64,
-        rule: &StoppingRule,
-        seed: u64,
-        confidence_level: f64,
-        workers: usize,
-    ) -> Result<SplittingResult, RaidError> {
-        validate_run(horizon_hours, confidence_level)?;
-        estimate_until(
-            self.config().geometry.parity_disks + 1,
-            rule,
+            &trials.into(),
             seed,
             confidence_level,
             workers,
@@ -344,6 +327,7 @@ impl StorageSimulator {
 mod tests {
     use super::*;
     use crate::{DiskModel, RaidGeometry, ReplicationConfig, StorageConfig};
+    use probdist::stats::StoppingRule;
     use probdist::{Distribution, Weibull};
 
     fn exponential_disk(mtbf_hours: f64) -> DiskModel {
@@ -504,7 +488,7 @@ mod tests {
         };
         let sim = ReplicationSimulator::new(config).unwrap();
         let rule = StoppingRule::new(0.2, 100, 3200).unwrap();
-        let result = sim.splitting_loss_probability_until(2000.0, &rule, 13, 0.95, 0).unwrap();
+        let result = sim.splitting_loss_probability(2000.0, rule, 13, 0.95, 0).unwrap();
         assert!(result.trials_per_level <= 3200);
         assert!(result.estimate.replications >= result.trials_per_level);
         assert!(
@@ -514,7 +498,7 @@ mod tests {
             result.trials_per_level
         );
         // Deterministic: the adaptive loop replays identically.
-        let again = sim.splitting_loss_probability_until(2000.0, &rule, 13, 0.95, 2).unwrap();
+        let again = sim.splitting_loss_probability(2000.0, rule, 13, 0.95, 2).unwrap();
         assert_eq!(result, again);
     }
 
@@ -530,7 +514,7 @@ mod tests {
         assert!(sim.splitting_loss_probability(100.0, 1, 1, 0.95, 1).is_err());
         assert!(sim.splitting_loss_probability(100.0, 100, 1, 1.5, 1).is_err());
         let rule = StoppingRule::new(0.2, 16, 64).unwrap();
-        assert!(sim.splitting_loss_probability_until(0.0, &rule, 1, 0.95, 1).is_err());
+        assert!(sim.splitting_loss_probability(0.0, rule, 1, 0.95, 1).is_err());
     }
 
     /// An impossible-to-reach deep level reports "zero with zero

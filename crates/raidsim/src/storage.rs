@@ -2,7 +2,8 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use probdist::stats::{
-    confidence_interval, run_to_precision, ConfidenceInterval, RunningStats, StoppingRule,
+    confidence_interval, run_to_precision, ConfidenceInterval, Replicate, Replications,
+    RunningStats,
 };
 use probdist::{Distribution, Exponential, SimRng, Weibull};
 use serde::{Deserialize, Serialize};
@@ -57,6 +58,9 @@ pub struct StorageSummary {
     pub replications: usize,
     /// Mission length, hours.
     pub horizon_hours: f64,
+    /// Whether a deadline stopped the run early: every estimate is still
+    /// valid, over the contiguous prefix of replications that completed.
+    pub truncated: bool,
 }
 
 /// Validates the shared run parameters of both storage Monte-Carlo
@@ -86,15 +90,85 @@ pub(crate) fn record_mission(stats: &StorageRunStats) {
     counter_add(MetricId::RaidLossEvents, stats.data_loss_events);
 }
 
-/// Aggregates raw replication results into a [`StorageSummary`] at the
-/// given confidence level. Shared by the RAID simulator and the n-way
-/// replication simulator ([`crate::replication`]) so both redundancy
-/// families report through exactly the same statistics pipeline.
-pub(crate) fn summarise_runs(
-    runs: &[StorageRunStats],
+/// A storage Monte-Carlo kernel: the RAID simulator or the n-way
+/// replication simulator ([`crate::replication`]), each running one mission
+/// per replication and keeping the worker's previous mission as scratch.
+pub(crate) trait MissionKernel: Sync {
+    /// The resumable mission state reused across a worker's replications.
+    type Mission;
+
+    /// Runs one mission of `horizon_hours`, re-priming the mission in
+    /// `slot` when present.
+    fn run_once_reusing(
+        &self,
+        horizon_hours: f64,
+        rng: &mut SimRng,
+        slot: &mut Option<Self::Mission>,
+    ) -> StorageRunStats;
+}
+
+/// One mission of a [`MissionKernel`] at a fixed horizon, as the
+/// replication driver sees it.
+struct Missions<'a, K> {
+    kernel: &'a K,
     horizon_hours: f64,
+}
+
+impl<K: MissionKernel> Replicate for Missions<'_, K> {
+    type Row = StorageRunStats;
+    type Scratch = Option<K::Mission>;
+    type Error = RaidError;
+
+    fn scratch(&self) -> Option<K::Mission> {
+        None
+    }
+
+    fn run(
+        &self,
+        _index: usize,
+        rng: &mut SimRng,
+        slot: &mut Option<K::Mission>,
+    ) -> Result<StorageRunStats, RaidError> {
+        Ok(self.kernel.run_once_reusing(self.horizon_hours, rng, slot))
+    }
+}
+
+/// The run body shared by both storage simulators' `run_with`: missions
+/// under the replication policy, aggregated at `confidence_level`.
+///
+/// An adaptive policy tracks availability and replacements-per-week;
+/// data-loss events are not tracked (a rare-event count has a near-zero
+/// mean, so its *relative* width is ill-defined and would force every run
+/// to the cap).
+pub(crate) fn run_missions<K: MissionKernel>(
+    kernel: &K,
+    horizon_hours: f64,
+    replications: &Replications,
+    seed: u64,
     confidence_level: f64,
+    workers: usize,
 ) -> Result<StorageSummary, RaidError> {
+    validate_run(horizon_hours, confidence_level)?;
+    let missions = Missions { kernel, horizon_hours };
+    let (runs, truncated) = run_to_precision(
+        &missions,
+        replications,
+        seed,
+        workers,
+        None,
+        |runs, rule| -> Result<_, RaidError> {
+            let availability: RunningStats =
+                runs.iter().map(StorageRunStats::availability).collect();
+            let per_week: RunningStats =
+                runs.iter().map(StorageRunStats::replacements_per_week).collect();
+            for stats in [&availability, &per_week] {
+                if !rule.met_by(&confidence_interval(stats, confidence_level)?) {
+                    return Ok(false);
+                }
+            }
+            Ok(true)
+        },
+    )?;
     let availability: RunningStats = runs.iter().map(StorageRunStats::availability).collect();
     let per_week: RunningStats = runs.iter().map(StorageRunStats::replacements_per_week).collect();
     let losses: RunningStats = runs.iter().map(|r| r.data_loss_events as f64).collect();
@@ -107,6 +181,7 @@ pub(crate) fn summarise_runs(
         prob_any_data_loss: any_loss as f64 / runs.len() as f64,
         replications: runs.len(),
         horizon_hours,
+        truncated,
     })
 }
 
@@ -168,125 +243,49 @@ impl StorageSimulator {
         &self.config
     }
 
-    /// Runs `replications` independent missions of `horizon_hours` each and
-    /// aggregates the results at the 95 % confidence level. Replications are
-    /// executed in parallel when more than a handful are requested.
+    /// Runs independent missions of `horizon_hours` each under
+    /// `replications` (a count or a stopping rule) and aggregates the
+    /// results at the 95 % confidence level, on every available core.
     ///
     /// # Errors
     ///
-    /// Returns [`RaidError::InvalidRun`] for a non-positive horizon or fewer
-    /// than two replications.
+    /// Same conditions as [`StorageSimulator::run_with`].
     pub fn run(
         &self,
         horizon_hours: f64,
-        replications: usize,
+        replications: impl Into<Replications>,
         seed: u64,
     ) -> Result<StorageSummary, RaidError> {
         self.run_with(horizon_hours, replications, seed, 0.95, 0)
     }
 
-    /// Runs `replications` independent missions with an explicit confidence
-    /// level and worker-thread count. `workers == 0` uses the machine's
-    /// available parallelism; `1` forces serial execution. Every replication
-    /// draws from the RNG stream derived from its own index and results are
-    /// collected in index order, so the aggregated statistics are
-    /// bit-identical for any worker count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RaidError::InvalidRun`] for a non-positive horizon, fewer
-    /// than two replications, or a confidence level outside `(0, 1)`.
-    pub fn run_with(
-        &self,
-        horizon_hours: f64,
-        replications: usize,
-        seed: u64,
-        confidence_level: f64,
-        workers: usize,
-    ) -> Result<StorageSummary, RaidError> {
-        validate_run(horizon_hours, confidence_level)?;
-        if replications < 2 {
-            return Err(RaidError::InvalidRun {
-                reason: "at least two replications are required".into(),
-            });
-        }
-
-        let root = SimRng::seed_from_u64(seed);
-        // Each worker keeps one mission as scratch: after the first
-        // replication, later missions re-prime the same event queue and
-        // per-disk state in place instead of allocating afresh.
-        let runs: Vec<StorageRunStats> = probdist::parallel::replicate_with(
-            0..replications,
-            &root,
-            workers,
-            || None,
-            |_, rng, slot| self.run_once_reusing(horizon_hours, rng, slot),
-        );
-        self.summarise(&runs, horizon_hours, confidence_level)
-    }
-
-    /// Runs replication batches until `rule` is satisfied — every tracked
-    /// measure's relative CI half-width below the target — or its cap is
-    /// reached, and aggregates exactly like [`StorageSimulator::run_with`].
-    ///
-    /// Availability and replacements-per-week are tracked by the rule;
-    /// data-loss events are not (a rare-event count has a near-zero mean,
-    /// so its *relative* width is ill-defined and would force every run to
-    /// the cap). The summary's `replications` field records the count
-    /// actually used, and because batches extend one index-derived stream
-    /// sequence, an adaptive run of `n` replications is bit-identical to a
-    /// fixed `run_with` of `n`.
+    /// Runs independent missions under `replications` — a fixed count, or
+    /// a [`probdist::stats::StoppingRule`] that stops once availability and
+    /// replacements-per-week are both within its relative half-width —
+    /// with an explicit confidence level and worker-thread count.
+    /// `workers == 0` uses the machine's available parallelism; `1` forces
+    /// serial execution. Every replication draws from the RNG stream
+    /// derived from its own index and results are collected in index
+    /// order, so the aggregated statistics are bit-identical for any worker
+    /// count, and an adaptive run of `n` replications matches a fixed run
+    /// of `n`. The summary records the count actually used, and whether the
+    /// ambient deadline truncated the run.
     ///
     /// # Errors
     ///
     /// Returns [`RaidError::InvalidRun`] for a non-positive horizon or a
-    /// confidence level outside `(0, 1)`.
-    pub fn run_until(
+    /// confidence level outside `(0, 1)`, and [`RaidError::Distribution`]
+    /// for a fixed count below two or a deadline that left fewer than two
+    /// replications.
+    pub fn run_with(
         &self,
         horizon_hours: f64,
-        rule: &StoppingRule,
+        replications: impl Into<Replications>,
         seed: u64,
         confidence_level: f64,
         workers: usize,
     ) -> Result<StorageSummary, RaidError> {
-        validate_run(horizon_hours, confidence_level)?;
-        let root = SimRng::seed_from_u64(seed);
-        let runs = run_to_precision(
-            rule,
-            |range| -> Result<Vec<StorageRunStats>, RaidError> {
-                Ok(probdist::parallel::replicate_with(
-                    range,
-                    &root,
-                    workers,
-                    || None,
-                    |_, rng, slot| self.run_once_reusing(horizon_hours, rng, slot),
-                ))
-            },
-            |runs: &[StorageRunStats]| -> Result<bool, RaidError> {
-                let availability: RunningStats =
-                    runs.iter().map(StorageRunStats::availability).collect();
-                let per_week: RunningStats =
-                    runs.iter().map(StorageRunStats::replacements_per_week).collect();
-                for stats in [&availability, &per_week] {
-                    let interval = confidence_interval(stats, confidence_level)?;
-                    if !rule.met_by(&interval) {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            },
-        )?;
-        self.summarise(&runs, horizon_hours, confidence_level)
-    }
-
-    /// Aggregates raw replication results into a [`StorageSummary`].
-    fn summarise(
-        &self,
-        runs: &[StorageRunStats],
-        horizon_hours: f64,
-        confidence_level: f64,
-    ) -> Result<StorageSummary, RaidError> {
-        summarise_runs(runs, horizon_hours, confidence_level)
+        run_missions(self, horizon_hours, &replications.into(), seed, confidence_level, workers)
     }
 
     /// Runs a single mission and returns its raw statistics.
@@ -294,28 +293,6 @@ impl StorageSimulator {
         let mut mission = self.start_mission(horizon_hours, rng);
         mission.advance(rng, None);
         let stats = mission.finish();
-        record_mission(&stats);
-        stats
-    }
-
-    /// Runs a single mission, reusing the mission in `slot` as scratch when
-    /// present (and stashing a fresh one there otherwise). Re-priming draws
-    /// initial lifetimes in exactly the order [`StorageSimulator::start_mission`]
-    /// does, so the statistics are bit-identical to [`StorageSimulator::run_once`]
-    /// with the same RNG stream — only the allocations differ.
-    pub fn run_once_reusing(
-        &self,
-        horizon_hours: f64,
-        rng: &mut SimRng,
-        slot: &mut Option<StorageMission>,
-    ) -> StorageRunStats {
-        match slot {
-            Some(mission) => mission.reprime(horizon_hours, rng),
-            None => *slot = Some(self.start_mission(horizon_hours, rng)),
-        }
-        let mission = slot.as_mut().expect("mission was just initialised");
-        mission.advance(rng, None);
-        let stats = mission.stats();
         record_mission(&stats);
         stats
     }
@@ -356,6 +333,31 @@ impl StorageSimulator {
             data_loss_events: 0,
             replacements: 0,
         }
+    }
+}
+
+impl MissionKernel for StorageSimulator {
+    type Mission = StorageMission;
+
+    /// Re-priming draws initial lifetimes in exactly the order
+    /// [`StorageSimulator::start_mission`] does, so the statistics are
+    /// bit-identical to [`StorageSimulator::run_once`] with the same RNG
+    /// stream — only the allocations differ.
+    fn run_once_reusing(
+        &self,
+        horizon_hours: f64,
+        rng: &mut SimRng,
+        slot: &mut Option<StorageMission>,
+    ) -> StorageRunStats {
+        match slot {
+            Some(mission) => mission.reprime(horizon_hours, rng),
+            None => *slot = Some(self.start_mission(horizon_hours, rng)),
+        }
+        let mission = slot.as_mut().expect("mission was just initialised");
+        mission.advance(rng, None);
+        let stats = mission.stats();
+        record_mission(&stats);
+        stats
     }
 }
 
@@ -660,6 +662,7 @@ impl StorageMission {
 mod tests {
     use super::*;
     use crate::{DiskModel, RaidGeometry};
+    use probdist::stats::StoppingRule;
 
     fn quick_config() -> StorageConfig {
         let mut c = StorageConfig::abe_scratch();
@@ -773,7 +776,7 @@ mod tests {
     fn adaptive_run_stops_within_bounds_and_matches_fixed() {
         let sim = StorageSimulator::new(quick_config()).unwrap();
         let rule = StoppingRule::new(0.25, 4, 32).unwrap();
-        let adaptive = sim.run_until(8760.0, &rule, 9, 0.95, 2).unwrap();
+        let adaptive = sim.run_with(8760.0, rule, 9, 0.95, 2).unwrap();
         assert!(
             adaptive.replications >= 4 && adaptive.replications <= 32,
             "used {} replications",
@@ -788,8 +791,72 @@ mod tests {
     fn adaptive_run_validates_parameters() {
         let sim = StorageSimulator::new(quick_config()).unwrap();
         let rule = StoppingRule::new(0.25, 4, 32).unwrap();
-        assert!(sim.run_until(0.0, &rule, 1, 0.95, 1).is_err());
-        assert!(sim.run_until(100.0, &rule, 1, 1.5, 1).is_err());
+        assert!(sim.run_with(0.0, rule, 1, 0.95, 1).is_err());
+        assert!(sim.run_with(100.0, rule, 1, 1.5, 1).is_err());
+    }
+
+    /// A deadline that fires mid-run keeps a prefix bit-identical to the
+    /// uncancelled run: the token is fired from inside adaptive batch 3
+    /// (replications 16..32), in-flight missions finish, and every kept row
+    /// is exactly the row the full run produced at that index.
+    #[test]
+    fn truncated_run_keeps_a_bit_identical_prefix() {
+        use probdist::parallel::{cancel_scope, CancelToken};
+
+        struct CancelAt<'a> {
+            missions: Missions<'a, StorageSimulator>,
+            at: usize,
+            token: CancelToken,
+        }
+        impl Replicate for CancelAt<'_> {
+            type Row = StorageRunStats;
+            type Scratch = Option<StorageMission>;
+            type Error = RaidError;
+            fn scratch(&self) -> Option<StorageMission> {
+                None
+            }
+            fn run(
+                &self,
+                index: usize,
+                rng: &mut SimRng,
+                slot: &mut Option<StorageMission>,
+            ) -> Result<StorageRunStats, RaidError> {
+                if index == self.at {
+                    self.token.cancel();
+                }
+                self.missions.run(index, rng, slot)
+            }
+        }
+
+        let sim = StorageSimulator::new(quick_config()).unwrap();
+        let missions = || Missions { kernel: &sim, horizon_hours: 2000.0 };
+        let never_precise = |_: &[StorageRunStats], _: &StoppingRule| Ok::<_, RaidError>(false);
+        let policy = Replications::Adaptive(StoppingRule::new(1e-9, 8, 512).unwrap());
+        for workers in [1, 2] {
+            let (full, truncated) =
+                run_to_precision(&missions(), &policy, 9, workers, None, never_precise).unwrap();
+            assert!(!truncated);
+            assert_eq!(full.len(), 512);
+
+            let token = CancelToken::new();
+            let cancelling = CancelAt { missions: missions(), at: 20, token: token.clone() };
+            let (prefix, truncated) = cancel_scope(&token, || {
+                run_to_precision(&cancelling, &policy, 9, workers, None, never_precise)
+            })
+            .unwrap();
+            assert!(truncated, "workers = {workers}");
+            assert!((21..512).contains(&prefix.len()), "workers = {workers}: {}", prefix.len());
+            assert_eq!(prefix, full[..prefix.len()], "workers = {workers}");
+        }
+        // The public entry point reports the flag on its summary.
+        let token = CancelToken::new();
+        token.cancel();
+        let starved = cancel_scope(&token, || sim.run_with(2000.0, 8, 9, 0.95, 1)).unwrap_err();
+        assert_eq!(
+            starved,
+            RaidError::Distribution(probdist::DistError::DeadlineExpired { completed: 0 })
+        );
+        assert!(!sim.run_with(2000.0, 8, 9, 0.95, 1).unwrap().truncated);
     }
 
     #[test]

@@ -124,8 +124,9 @@ pub struct TraceEvent {
 /// every replication, so a worker that runs thousands of replications
 /// allocates once and the per-replication hot path is allocation-free
 /// (the returned [`RunResult`]'s value vector is the single remaining
-/// allocation). [`Experiment`](crate::Experiment) threads one scratch per
-/// pool worker through `probdist::parallel::replicate_with`.
+/// allocation). [`Experiment`](crate::Experiment) hands the replication
+/// driver one scratch per pool worker
+/// ([`ReplicationKernel`](crate::ReplicationKernel)).
 ///
 /// Scratch state never carries information between replications — every
 /// buffer is cleared or overwritten on reset — so results are bit-identical

@@ -141,7 +141,7 @@ pub use lint::{Diagnostic, LintConfig, LintReport, Severity};
 pub use marking::{Marking, PlaceId};
 pub use model::{ActivityBuilder, ActivityId, Model, ModelBuilder, Timing};
 pub use reach::{GeneratorAssembly, ReachConfig, ReachReport, SolverAdmissibility};
-pub use replication::{Experiment, RewardEstimate, RunSummary, StoppingRule};
+pub use replication::{Experiment, ReplicationKernel, RewardEstimate, RunSummary, StoppingRule};
 pub use reward::RewardSpec;
 
 #[cfg(test)]

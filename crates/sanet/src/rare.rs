@@ -51,11 +51,12 @@
 //! each reward observation with its weight `e^{ln W}` into a
 //! [`WeightedRunning`] accumulator: the unbiased weighted mean is the
 //! estimate, the Kish effective sample size diagnoses weight degeneracy,
-//! and [`BiasedExperiment::run_until`] drives the ordinary
-//! [`StoppingRule`] batch schedule with the relative-half-width-on-the-
-//! weighted-mean criterion — refusing to stop before the rule's minimum
-//! non-zero-observation support is reached
-//! ([`StoppingRule::met_by_support`]).
+//! and [`BiasedExperiment::run`] under a
+//! [`StoppingRule`](crate::StoppingRule) drives the ordinary batch
+//! schedule with the relative-half-width-on-the-weighted-mean criterion —
+//! refusing to stop before the rule's minimum non-zero-observation support
+//! is reached
+//! ([`StoppingRule::met_by_support`](crate::StoppingRule::met_by_support)).
 //!
 //! # Example
 //!
@@ -90,7 +91,7 @@
 //! # }
 //! ```
 
-use probdist::stats::{run_to_precision, ConfidenceInterval, StoppingRule, WeightedRunning};
+use probdist::stats::{ConfidenceInterval, Replications, WeightedRunning};
 use probdist::{Dist, Exponential};
 
 use crate::model::{Activity, DistFn};
@@ -453,6 +454,9 @@ pub struct WeightedSummary {
     /// Total activity completions across all replications (of the tilted
     /// model — biased runs are busier than unbiased ones by design).
     pub total_events: u64,
+    /// Whether a deadline stopped the run early: every estimate is still
+    /// valid, over the contiguous prefix of replications that completed.
+    pub truncated: bool,
 }
 
 impl WeightedSummary {
@@ -481,8 +485,8 @@ impl WeightedSummary {
 ///
 /// Replication `i` draws from the stream derived from `(seed, i)` exactly
 /// like an unbiased [`Experiment`], so weighted results are bit-identical
-/// at any worker count, and an adaptive [`BiasedExperiment::run_until`]
-/// that stops at `n` replications matches a fixed run of `n`.
+/// at any worker count, and an adaptive [`BiasedExperiment::run`] that
+/// stops at `n` replications matches a fixed run of `n`.
 pub struct BiasedExperiment {
     experiment: Experiment,
     biased: BiasedModel,
@@ -546,39 +550,29 @@ impl BiasedExperiment {
         &self.biased
     }
 
-    /// Runs a fixed number of replications of the tilted model and
-    /// summarises every reward with likelihood-ratio weights.
+    /// Runs replications of the tilted model under `replications` — a
+    /// fixed count, or a [`StoppingRule`](crate::StoppingRule) that stops
+    /// once every registered reward's weighted interval satisfies it,
+    /// including its minimum non-zero support
+    /// ([`StoppingRule::met_by_support`](crate::StoppingRule::met_by_support)),
+    /// so an estimate cannot stop on a handful of lucky hits — and
+    /// summarises every reward with likelihood-ratio weights. An adaptive
+    /// run of `n` replications is bit-identical to a fixed run of `n`.
     ///
     /// # Errors
     ///
-    /// Returns [`SanError::InvalidExperiment`] if `replications < 2` or a
-    /// replication's weight overflows (a catastrophically mis-chosen
-    /// tilt), and propagates simulation errors.
-    pub fn run(&self, replications: usize, seed: u64) -> Result<WeightedSummary, SanError> {
-        if replications < 2 {
-            return Err(SanError::InvalidExperiment {
-                reason: "at least two replications are required".into(),
-            });
-        }
-        let results = self.experiment.run_raw_range(0..replications, seed)?;
-        self.summarise(&results)
-    }
-
-    /// Runs replication batches until every registered reward's weighted
-    /// interval satisfies `rule` — including its minimum non-zero support
-    /// ([`StoppingRule::met_by_support`]), so an estimate cannot stop on a
-    /// handful of lucky hits — or the cap is reached. Batches extend one
-    /// index sequence, so an adaptive run of `n` replications is
-    /// bit-identical to [`BiasedExperiment::run`] with `n`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation or statistics error.
-    pub fn run_until(&self, rule: StoppingRule, seed: u64) -> Result<WeightedSummary, SanError> {
-        let results = run_to_precision(
-            &rule,
-            |range| self.experiment.run_raw_range(range, seed),
-            |results: &[RunResult]| {
+    /// Returns [`SanError::InvalidExperiment`] if a replication's weight
+    /// overflows (a catastrophically mis-chosen tilt),
+    /// [`SanError::Distribution`] for a fixed count below two or a
+    /// deadline that left fewer than two replications, and propagates
+    /// simulation errors.
+    pub fn run(
+        &self,
+        replications: impl Into<Replications>,
+        seed: u64,
+    ) -> Result<WeightedSummary, SanError> {
+        let (results, truncated) =
+            self.experiment.drive(&replications.into(), seed, |results, rule| {
                 for name in &self.user_rewards {
                     let acc = self.accumulate(name, results)?;
                     let Ok(interval) = acc.confidence_interval(self.confidence_level) else {
@@ -589,9 +583,8 @@ impl BiasedExperiment {
                     }
                 }
                 Ok(true)
-            },
-        )?;
-        self.summarise(&results)
+            })?;
+        self.summarise(&results, truncated)
     }
 
     /// Accumulates one reward's weighted observations across results.
@@ -614,7 +607,11 @@ impl BiasedExperiment {
         Ok(acc)
     }
 
-    fn summarise(&self, results: &[RunResult]) -> Result<WeightedSummary, SanError> {
+    fn summarise(
+        &self,
+        results: &[RunResult],
+        truncated: bool,
+    ) -> Result<WeightedSummary, SanError> {
         let mut estimates = Vec::with_capacity(self.user_rewards.len());
         for name in &self.user_rewards {
             let stats = self.accumulate(name, results)?;
@@ -628,6 +625,7 @@ impl BiasedExperiment {
             replications: results.len(),
             horizon: results.first().map_or(0.0, |r| r.end_time),
             total_events: results.iter().map(|r| r.events).sum(),
+            truncated,
         })
     }
 }
@@ -635,6 +633,7 @@ impl BiasedExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StoppingRule;
     use crate::{Marking, ModelBuilder};
     use probdist::rare::{naive_replications_for, weighted_probability};
     use probdist::SimRng;
@@ -807,7 +806,7 @@ mod tests {
         experiment
             .add_reward(RewardSpec::instant_of_time("hit", move |m| m.tokens(latched) as f64));
         let rule = StoppingRule::new(0.1, 500, 100_000).unwrap();
-        let summary = experiment.run_until(rule, 9).unwrap();
+        let summary = experiment.run(rule, 9).unwrap();
         let estimate = summary.reward("hit").unwrap();
         assert!(
             estimate.interval.relative_half_width() <= 0.1,
@@ -850,7 +849,7 @@ mod tests {
         );
 
         let rule = StoppingRule::new(0.5, 64, 256).unwrap().with_min_nonzero(1);
-        let adaptive = experiment.run_until(rule, 5).unwrap();
+        let adaptive = experiment.run(rule, 5).unwrap();
         let fixed = experiment.run(adaptive.replications, 5).unwrap();
         assert_eq!(
             adaptive.reward("hit").unwrap().stats,
@@ -870,7 +869,7 @@ mod tests {
         experiment
             .add_reward(RewardSpec::instant_of_time("hit", move |m| m.tokens(latched) as f64));
         let rule = StoppingRule::new(0.1, 8, 64).unwrap();
-        let summary = experiment.run_until(rule, 3).unwrap();
+        let summary = experiment.run(rule, 3).unwrap();
         assert_eq!(
             summary.replications, 64,
             "an all-zero rare-event measure must exhaust the cap, not stop vacuously"

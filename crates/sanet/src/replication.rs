@@ -1,16 +1,19 @@
 //! Replicated simulation experiments: a thin adapter that binds the SAN
-//! engine's per-replication runs to the crate-neutral execution machinery
-//! in [`probdist`] — the work-stealing fan-out of
-//! [`probdist::parallel::replicate`] and the precision-targeted stopping
-//! of [`probdist::stats::StoppingRule`] / [`run_to_precision`]. All
-//! scheduling and stopping policy lives there; this module only knows how
-//! to run one SAN replication and how to summarise reward estimates.
+//! engine's per-replication runs to the crate-neutral replication driver
+//! [`probdist::stats::run_to_precision`]. The driver owns scheduling,
+//! fixed or adaptive stopping ([`Replications`]), deadline truncation and
+//! checkpoint resume; this module only knows how to run one SAN
+//! replication ([`ReplicationKernel`]) and how to summarise reward
+//! estimates.
 
-use probdist::stats::{confidence_interval, run_to_precision, ConfidenceInterval, RunningStats};
+use probdist::stats::{
+    confidence_interval, run_to_precision, ConfidenceInterval, Replicate, Replications,
+    RunningStats,
+};
 use probdist::SimRng;
 
-use crate::reward::RewardSpec;
-use crate::{Model, SanError, Simulator};
+use crate::reward::{RewardSpec, RewardTable};
+use crate::{Model, RunResult, RunScratch, SanError, Simulator};
 
 pub use probdist::stats::StoppingRule;
 
@@ -38,6 +41,9 @@ pub struct RunSummary {
     pub horizon: f64,
     /// Total number of activity completions across all replications.
     pub total_events: u64,
+    /// Whether a deadline stopped the run early: every estimate is still
+    /// valid, over the contiguous prefix of replications that completed.
+    pub truncated: bool,
 }
 
 impl RunSummary {
@@ -72,7 +78,6 @@ pub struct Experiment {
     warmup: f64,
     rewards: Vec<RewardSpec>,
     confidence_level: f64,
-    parallel: bool,
     workers: usize,
 }
 
@@ -84,7 +89,6 @@ impl std::fmt::Debug for Experiment {
             .field("warmup", &self.warmup)
             .field("rewards", &self.rewards.len())
             .field("confidence_level", &self.confidence_level)
-            .field("parallel", &self.parallel)
             .field("workers", &self.workers)
             .finish()
     }
@@ -92,7 +96,7 @@ impl std::fmt::Debug for Experiment {
 
 impl Experiment {
     /// Creates an experiment on `model` with the given simulation horizon in
-    /// hours. Parallel execution is enabled by default.
+    /// hours. Replications fan out across every available core by default.
     pub fn new(model: Model, horizon: f64) -> Self {
         Experiment {
             model,
@@ -100,7 +104,6 @@ impl Experiment {
             warmup: 0.0,
             rewards: Vec::new(),
             confidence_level: 0.95,
-            parallel: true,
             workers: 0,
         }
     }
@@ -114,12 +117,6 @@ impl Experiment {
     /// Sets the confidence level used for reported intervals (default 0.95).
     pub fn set_confidence_level(&mut self, level: f64) -> &mut Self {
         self.confidence_level = level;
-        self
-    }
-
-    /// Enables or disables parallel execution of replications.
-    pub fn set_parallel(&mut self, parallel: bool) -> &mut Self {
-        self.parallel = parallel;
         self
     }
 
@@ -146,170 +143,71 @@ impl Experiment {
         &self.model
     }
 
-    /// Runs a fixed number of independent replications and summarises every
-    /// reward.
+    /// Runs independent replications under `replications` — a fixed count
+    /// or a [`StoppingRule`] that stops once every registered reward's
+    /// interval meets it — and summarises every reward.
     ///
     /// Replication `i` uses the RNG stream derived from `seed` and `i`, so
     /// results are reproducible and independent of execution order or
-    /// parallelism.
+    /// parallelism, and an adaptive run that stops after `n` replications
+    /// is bit-identical to a fixed run of `n`. The summary records the
+    /// count actually used, and whether the ambient deadline truncated it.
     ///
     /// # Errors
     ///
-    /// Returns [`SanError::InvalidExperiment`] if `replications < 2` (a
-    /// confidence interval needs at least two observations) and propagates
-    /// any simulation error.
-    pub fn run(&self, replications: usize, seed: u64) -> Result<RunSummary, SanError> {
-        if replications < 2 {
-            return Err(SanError::InvalidExperiment {
-                reason: "at least two replications are required".into(),
-            });
-        }
-        let results = self.run_indices(0, replications, seed)?;
-        self.summarise(results)
-    }
-
-    /// Runs replication batches until `rule` is satisfied for every
-    /// registered reward, or its cap is reached.
-    ///
-    /// The batches extend one index sequence from the same root seed, so an
-    /// adaptive run that stops after `n` replications is bit-identical to
-    /// [`Experiment::run`] with `replications = n`. The summary's
-    /// `replications` field records the count actually used.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation or statistics error.
-    pub fn run_until(&self, rule: StoppingRule, seed: u64) -> Result<RunSummary, SanError> {
-        let results = run_to_precision(
-            &rule,
-            |range| self.run_indices(range.start, range.len(), seed),
-            |results: &[crate::RunResult]| {
-                for spec in &self.rewards {
-                    let stats: RunningStats =
-                        results.iter().map(|r| r.reward(spec.name()).unwrap_or(0.0)).collect();
-                    let interval = confidence_interval(&stats, self.confidence_level)?;
-                    if !rule.met_by(&interval) {
-                        return Ok(false);
-                    }
+    /// Returns [`SanError::Distribution`] for a fixed count below two (a
+    /// confidence interval needs two observations) or a deadline that left
+    /// fewer than two replications, and propagates any simulation error.
+    pub fn run(
+        &self,
+        replications: impl Into<Replications>,
+        seed: u64,
+    ) -> Result<RunSummary, SanError> {
+        let (results, truncated) = self.drive(&replications.into(), seed, |results, rule| {
+            for spec in &self.rewards {
+                let stats: RunningStats =
+                    results.iter().map(|r| r.reward(spec.name()).unwrap_or(0.0)).collect();
+                if !rule.met_by(&confidence_interval(&stats, self.confidence_level)?) {
+                    return Ok(false);
                 }
-                Ok(true)
-            },
-        )?;
-        self.summarise(results)
+            }
+            Ok(true)
+        })?;
+        self.summarise(results, truncated)
     }
 
-    /// Runs a fixed number of replications and returns the raw per-
-    /// replication results instead of a summary. Useful when rewards must
-    /// be combined per replication (e.g. a derived measure such as cluster
-    /// utility) before confidence intervals are computed.
+    /// The per-replication operation of this experiment, for callers that
+    /// drive [`run_to_precision`] themselves (to combine rewards per
+    /// replication, or to resume from a checkpoint).
     ///
     /// # Errors
     ///
-    /// Returns [`SanError::InvalidExperiment`] if `replications` is zero and
-    /// propagates any simulation error.
-    pub fn run_raw(
-        &self,
-        replications: usize,
-        seed: u64,
-    ) -> Result<Vec<crate::RunResult>, SanError> {
-        if replications == 0 {
-            return Err(SanError::InvalidExperiment {
-                reason: "at least one replication is required".into(),
-            });
-        }
-        self.run_indices(0, replications, seed)
+    /// Propagates reward-compilation errors (a reward referencing an
+    /// activity of another model).
+    pub fn kernel(&self) -> Result<ReplicationKernel<'_>, SanError> {
+        Ok(ReplicationKernel {
+            sim: Simulator::new(&self.model),
+            // Compiled once per run: every replication then shares the
+            // interned name table and the partitioned accumulator layout.
+            table: RewardTable::compile(&self.model, &self.rewards)?,
+            horizon: self.horizon,
+            warmup: self.warmup,
+        })
     }
 
-    /// Runs the replications of `range` (by stream index) and returns their
-    /// raw results — the batch primitive adaptive callers drive through
-    /// [`probdist::stats::run_to_precision`]. Replication `i` always draws
-    /// from the stream derived from `(seed, i)`, so consecutive ranges
-    /// extend one deterministic sequence.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run_raw_range(
+    /// Runs the driver over this experiment's kernel and worker count with
+    /// the caller's precision check; the raw rows behind [`Experiment::run`]
+    /// and the importance-sampling runner.
+    pub(crate) fn drive(
         &self,
-        range: std::ops::Range<usize>,
+        replications: &Replications,
         seed: u64,
-    ) -> Result<Vec<crate::RunResult>, SanError> {
-        self.run_indices(range.start, range.len(), seed)
+        is_precise: impl FnMut(&[RunResult], &StoppingRule) -> Result<bool, SanError>,
+    ) -> Result<(Vec<RunResult>, bool), SanError> {
+        run_to_precision(&self.kernel()?, replications, seed, self.workers, None, is_precise)
     }
 
-    /// Like [`Experiment::run_raw_range`], but checks `token` between
-    /// work-unit batches: once it is cancelled (manually or by its
-    /// deadline), in-flight replications finish and the call returns the
-    /// **contiguous prefix** of the range that completed, with `true` for
-    /// "truncated". Because replication `i` always draws from the stream
-    /// derived from `(seed, i)`, the prefix is bit-identical to the first
-    /// replications of an uninterrupted run — a statistically valid sample,
-    /// just a smaller one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any simulation error.
-    pub fn run_raw_range_interruptible(
-        &self,
-        range: std::ops::Range<usize>,
-        seed: u64,
-        token: &probdist::parallel::CancelToken,
-    ) -> Result<(Vec<crate::RunResult>, bool), SanError> {
-        let _span = probdist::telemetry::span(probdist::telemetry::MetricId::SpanReplicate);
-        let root = SimRng::seed_from_u64(seed);
-        let workers = if self.parallel { self.workers } else { 1 };
-        let sim = Simulator::new(&self.model);
-        let table = crate::reward::RewardTable::compile(&self.model, &self.rewards)?;
-        let (results, truncated) = probdist::parallel::replicate_with_interruptible(
-            range,
-            &root,
-            workers,
-            token,
-            crate::RunScratch::new,
-            |index, rng, scratch| {
-                sim.run_with_table_scratch(&table, self.horizon, self.warmup, rng, scratch)
-                    .map(|result| apply_chaos(index, result))
-            },
-        );
-        let results: Result<Vec<_>, SanError> = results.into_iter().collect();
-        Ok((results?, truncated))
-    }
-
-    /// Runs replications `start..start+count` (by stream index) and returns
-    /// their raw results. The deterministic fan-out lives in
-    /// [`probdist::parallel::replicate_with`], so the results are
-    /// bit-identical for any worker count.
-    fn run_indices(
-        &self,
-        start: usize,
-        count: usize,
-        seed: u64,
-    ) -> Result<Vec<crate::RunResult>, SanError> {
-        let _span = probdist::telemetry::span(probdist::telemetry::MetricId::SpanReplicate);
-        let root = SimRng::seed_from_u64(seed);
-        let workers = if self.parallel { self.workers } else { 1 };
-        let sim = Simulator::new(&self.model);
-        // Compile the reward set once per batch: every replication then
-        // shares the interned name table (one `Arc` clone per result) and
-        // the partitioned accumulator layout instead of re-deriving them.
-        let table = crate::reward::RewardTable::compile(&self.model, &self.rewards)?;
-        // Each worker owns one `RunScratch`, so the kernel's working buffers
-        // are allocated once per worker rather than once per replication.
-        probdist::parallel::replicate_with(
-            start..start + count,
-            &root,
-            workers,
-            crate::RunScratch::new,
-            |index, rng, scratch| {
-                sim.run_with_table_scratch(&table, self.horizon, self.warmup, rng, scratch)
-                    .map(|result| apply_chaos(index, result))
-            },
-        )
-        .into_iter()
-        .collect()
-    }
-
-    fn summarise(&self, results: Vec<crate::RunResult>) -> Result<RunSummary, SanError> {
+    fn summarise(&self, results: Vec<RunResult>, truncated: bool) -> Result<RunSummary, SanError> {
         let replications = results.len();
         let total_events = results.iter().map(|r| r.events).sum();
         let mut estimates = Vec::with_capacity(self.rewards.len());
@@ -321,7 +219,49 @@ impl Experiment {
             let interval = confidence_interval(&stats, self.confidence_level)?;
             estimates.push(RewardEstimate { name: spec.name().to_string(), interval, stats });
         }
-        Ok(RunSummary { estimates, replications, horizon: self.horizon, total_events })
+        Ok(RunSummary { estimates, replications, horizon: self.horizon, total_events, truncated })
+    }
+}
+
+/// One SAN replication of an [`Experiment`]: the model's simulator with the
+/// experiment's compiled reward table, horizon and warm-up. Each pool
+/// worker owns one [`RunScratch`], so the kernel's working buffers are
+/// allocated once per worker rather than once per replication.
+pub struct ReplicationKernel<'a> {
+    sim: Simulator<'a>,
+    table: RewardTable,
+    horizon: f64,
+    warmup: f64,
+}
+
+impl std::fmt::Debug for ReplicationKernel<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ReplicationKernel")
+            .field("sim", &self.sim)
+            .field("horizon", &self.horizon)
+            .field("warmup", &self.warmup)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Replicate for ReplicationKernel<'_> {
+    type Row = RunResult;
+    type Scratch = RunScratch;
+    type Error = SanError;
+
+    fn scratch(&self) -> RunScratch {
+        RunScratch::new()
+    }
+
+    fn run(
+        &self,
+        index: usize,
+        rng: &mut SimRng,
+        scratch: &mut RunScratch,
+    ) -> Result<RunResult, SanError> {
+        self.sim
+            .run_with_table_scratch(&self.table, self.horizon, self.warmup, rng, scratch)
+            .map(|result| apply_chaos(index, result))
     }
 }
 
@@ -331,7 +271,7 @@ impl Experiment {
 /// function of the chaos seed, the replication index, and the reward slot).
 /// With the feature off this is an identity the compiler erases.
 #[cfg(feature = "chaos")]
-fn apply_chaos(index: usize, mut result: crate::RunResult) -> crate::RunResult {
+fn apply_chaos(index: usize, mut result: RunResult) -> RunResult {
     if probdist::chaos::is_active() {
         for (slot, value) in result.values.iter_mut().enumerate() {
             *value = probdist::chaos::corrupt_reward(index as u64, slot, *value);
@@ -342,16 +282,16 @@ fn apply_chaos(index: usize, mut result: crate::RunResult) -> crate::RunResult {
 
 #[cfg(not(feature = "chaos"))]
 #[inline(always)]
-fn apply_chaos(_index: usize, result: crate::RunResult) -> crate::RunResult {
+fn apply_chaos(_index: usize, result: RunResult) -> RunResult {
     result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reward::RewardSpec;
     use crate::ModelBuilder;
-    use probdist::Exponential;
+    use probdist::parallel::{cancel_scope, CancelToken};
+    use probdist::{DistError, Exponential};
 
     fn repairable_unit(mean_fail: f64, mean_repair: f64) -> (Model, crate::PlaceId) {
         let mut b = ModelBuilder::new("unit");
@@ -400,9 +340,9 @@ mod tests {
         let (model, up) = repairable_unit(200.0, 4.0);
         let mut exp = Experiment::new(model, 20_000.0);
         exp.add_reward(availability_reward(up));
-        exp.set_parallel(false);
+        exp.set_workers(1);
         let serial = exp.run(16, 11).unwrap();
-        exp.set_parallel(true);
+        exp.set_workers(0);
         let parallel = exp.run(16, 11).unwrap();
         assert_eq!(
             serial.reward("avail").unwrap().interval.point,
@@ -421,12 +361,12 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_when_precise() {
+    fn adaptive_run_stops_when_precise() {
         let (model, up) = repairable_unit(100.0, 1.0);
         let mut exp = Experiment::new(model, 50_000.0);
         exp.add_reward(availability_reward(up));
         let rule = StoppingRule::new(0.01, 8, 64).unwrap();
-        let summary = exp.run_until(rule, 3).unwrap();
+        let summary = exp.run(rule, 3).unwrap();
         assert!(summary.replications >= 8 && summary.replications <= 64);
         let ci = &summary.reward("avail").unwrap().interval;
         // Either precision was reached or we hit the cap.
@@ -439,7 +379,7 @@ mod tests {
         let mut exp = Experiment::new(model, 50_000.0);
         exp.add_reward(availability_reward(up));
         let rule = StoppingRule::new(0.05, 8, 32).unwrap();
-        let adaptive = exp.run_until(rule, 5).unwrap();
+        let adaptive = exp.run(rule, 5).unwrap();
         let fixed = exp.run(adaptive.replications, 5).unwrap();
         assert_eq!(
             adaptive.reward("avail").unwrap().interval.point,
@@ -458,32 +398,25 @@ mod tests {
     }
 
     #[test]
-    fn run_raw_returns_per_replication_results() {
+    fn kernel_rows_match_the_summary() {
         let (model, up) = repairable_unit(100.0, 1.0);
         let mut exp = Experiment::new(model, 5_000.0);
         exp.add_reward(availability_reward(up));
-        assert!(exp.run_raw(0, 1).is_err());
-        let raw = exp.run_raw(8, 21).unwrap();
-        assert_eq!(raw.len(), 8);
-        // Every replication reports the registered reward, and the mean of
-        // the raw values matches the summarising run with the same seed.
-        let mean: f64 = raw.iter().map(|r| r.reward("avail").unwrap()).sum::<f64>() / 8.0;
+        // Driving the kernel directly (as a caller combining rewards per
+        // replication does) yields the rows behind `run`, in index order.
+        let kernel = exp.kernel().unwrap();
+        let policy = Replications::Fixed(8);
+        let (rows, truncated) =
+            run_to_precision(&kernel, &policy, 21, 2, None, |_, _| -> Result<_, SanError> {
+                Ok(true)
+            })
+            .unwrap();
+        assert!(!truncated);
+        assert_eq!(rows.len(), 8);
+        let mean: f64 = rows.iter().map(|r| r.reward("avail").unwrap()).sum::<f64>() / 8.0;
         let summary = exp.run(8, 21).unwrap();
         assert!((mean - summary.reward("avail").unwrap().interval.point).abs() < 1e-12);
-    }
-
-    #[test]
-    fn run_raw_range_extends_the_same_sequence() {
-        let (model, up) = repairable_unit(100.0, 1.0);
-        let mut exp = Experiment::new(model, 5_000.0);
-        exp.add_reward(availability_reward(up));
-        let full = exp.run_raw(8, 33).unwrap();
-        let head = exp.run_raw_range(0..4, 33).unwrap();
-        let tail = exp.run_raw_range(4..8, 33).unwrap();
-        for (a, b) in full.iter().zip(head.iter().chain(tail.iter())) {
-            assert_eq!(a.reward("avail").unwrap(), b.reward("avail").unwrap());
-            assert_eq!(a.events, b.events);
-        }
+        assert_eq!(rows.iter().map(|r| r.events).sum::<u64>(), summary.total_events);
     }
 
     #[test]
@@ -491,11 +424,11 @@ mod tests {
         let (model, up) = repairable_unit(100.0, 1.0);
         let mut exp = Experiment::new(model, 5_000.0);
         exp.add_reward(availability_reward(up));
-        let plain = exp.run_raw_range(0..8, 33).unwrap();
-        let token = probdist::parallel::CancelToken::new();
-        let (interruptible, truncated) = exp.run_raw_range_interruptible(0..8, 33, &token).unwrap();
-        assert!(!truncated);
-        assert_eq!(plain, interruptible, "an unfired token must not change a single bit");
+        let plain = exp.run(8, 33).unwrap();
+        let token = CancelToken::new();
+        let scoped = cancel_scope(&token, || exp.run(8, 33)).unwrap();
+        assert!(!scoped.truncated);
+        assert_eq!(plain, scoped, "an unfired token must not change a single bit");
     }
 
     #[test]
@@ -503,11 +436,10 @@ mod tests {
         let (model, up) = repairable_unit(100.0, 1.0);
         let mut exp = Experiment::new(model, 5_000.0);
         exp.add_reward(availability_reward(up));
-        let token = probdist::parallel::CancelToken::new();
+        let token = CancelToken::new();
         token.cancel();
-        let (results, truncated) = exp.run_raw_range_interruptible(0..8, 33, &token).unwrap();
-        assert!(truncated);
-        assert!(results.is_empty());
+        let err = cancel_scope(&token, || exp.run(8, 33)).unwrap_err();
+        assert_eq!(err, SanError::Distribution(DistError::DeadlineExpired { completed: 0 }));
     }
 
     #[test]
@@ -515,10 +447,11 @@ mod tests {
         let (model, up) = repairable_unit(100.0, 1.0);
         let mut exp = Experiment::new(model, 5_000.0);
         exp.add_reward(availability_reward(up));
-        let original = exp.run_raw(2, 9).unwrap().remove(0);
+        let kernel = exp.kernel().unwrap();
+        let mut rng = SimRng::seed_from_u64(9).derive_stream(0);
+        let original = kernel.run(0, &mut rng, &mut kernel.scratch()).unwrap();
         let pairs: Vec<(String, f64)> = original.iter().map(|(n, v)| (n.to_string(), v)).collect();
-        let restored =
-            crate::RunResult::from_named_values(pairs, original.events, original.end_time);
+        let restored = RunResult::from_named_values(pairs, original.events, original.end_time);
         assert_eq!(
             restored.reward("avail").unwrap().to_bits(),
             original.reward("avail").unwrap().to_bits()

@@ -1,6 +1,7 @@
 //! Checkpoint/resume and graceful degradation: run a study with a
 //! checkpoint file, simulate a mid-run kill, resume bit-identically, and
-//! show a deadline truncating a run to a valid prefix.
+//! show a deadline truncating a run to a valid prefix — for the cluster
+//! model and for a storage design sweep.
 //!
 //! Run with `cargo run --release --example checkpoint_resume`.
 
@@ -68,6 +69,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for failure in &report.failures {
         println!("{}: {}", failure.scenario, failure.message);
     }
+
+    // Every Monte-Carlo scenario honours the deadline, not only the
+    // cluster models: a storage design sweep far too large for 50 ms stops
+    // promptly and says so — truncated, or a recorded deadline failure.
+    let sweep_spec =
+        deadline_spec.clone().with_replications(2000).with_deadline(Duration::from_millis(50));
+    let started = std::time::Instant::now();
+    let report = Study::new().with(ReplicationVsRaid::default()).run(&sweep_spec)?;
+    let elapsed = started.elapsed();
+    let truncated = report.outputs.iter().any(|output| output.truncated);
+    let starved =
+        report.failures.iter().any(|failure| failure.message.contains("deadline expired"));
+    assert!(truncated || starved, "the sweep must report the deadline it hit");
+    assert!(elapsed < Duration::from_secs(2), "the sweep overran its deadline: {elapsed:?}");
+    println!(
+        "replication_vs_raid under a 50 ms deadline: {} after {:.3} s",
+        if truncated { "truncated" } else { "deadline failure" },
+        elapsed.as_secs_f64()
+    );
 
     std::fs::remove_file(&path)?;
     Ok(())

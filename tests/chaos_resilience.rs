@@ -14,6 +14,15 @@
 use petascale_cfs::prelude::*;
 use petascale_cfs::probdist::chaos;
 
+/// Runs `body` under an inert chaos plan. Plans are process-wide and the
+/// tests of this file run concurrently, so a "chaos off" run must hold
+/// the scope lock too — otherwise it executes under whichever plan another
+/// test has installed at that moment.
+fn without_chaos<R>(body: impl FnOnce() -> R) -> R {
+    let _quiet = chaos::scoped(chaos::ChaosConfig::new(0));
+    body()
+}
+
 fn temp_file(tag: &str) -> std::path::PathBuf {
     let mut path = std::env::temp_dir();
     path.push(format!("cfs-chaos-{}-{tag}.json", std::process::id()));
@@ -35,8 +44,9 @@ fn injected_kill_at_k_resumes_bit_identically() {
 
         // Uninterrupted reference, no chaos, no checkpoint. Wall-clock
         // timings are stripped — they are nondeterministic by nature.
-        let fresh =
-            Study::new().with(ClusterConfig::abe()).run(&base).unwrap().without_wall_clock();
+        let fresh = without_chaos(|| Study::new().with(ClusterConfig::abe()).run(&base))
+            .unwrap()
+            .without_wall_clock();
 
         // The "kill": replication 5 panics by injection. The study
         // contains it as a typed error carrying the replication index;
@@ -60,9 +70,7 @@ fn injected_kill_at_k_resumes_bit_identically() {
         // Resume with chaos off: the stored prefix is served verbatim,
         // the rest simulates, and the report matches the fresh run byte
         // for byte.
-        let resumed = Study::new()
-            .with(ClusterConfig::abe())
-            .run(&checkpointed)
+        let resumed = without_chaos(|| Study::new().with(ClusterConfig::abe()).run(&checkpointed))
             .unwrap()
             .without_wall_clock();
         assert_eq!(fresh.outputs, resumed.outputs, "workers {workers}");
@@ -130,7 +138,7 @@ fn continue_and_report_completes_under_injected_faults() {
         replay.failures.iter().map(|f| (&f.scenario, f.replication)).collect::<Vec<_>>()
     );
     // Pool still healthy with chaos off.
-    let clean = Study::new().with(ClusterConfig::abe()).run(&spec).unwrap();
+    let clean = without_chaos(|| Study::new().with(ClusterConfig::abe()).run(&spec)).unwrap();
     assert_eq!(clean.outputs.len(), 1);
     assert!(clean.failures.is_empty());
 }

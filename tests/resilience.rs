@@ -238,3 +238,33 @@ fn deadline_starved_study_still_reports_completed_scenarios() {
         assert!(output.replications_used.is_some());
     }
 }
+
+/// Every Monte-Carlo built-in honours the deadline: storage sweeps,
+/// figures, ablations, cluster models, the Beowulf SAN sweep and the
+/// splitting sweep alike. Under a deadline that has already expired when
+/// the study starts, no scenario may run its budget and report a silently
+/// complete result — each is recorded as a `DeadlineExpired` failure.
+#[test]
+fn every_monte_carlo_scenario_honours_an_expired_deadline() {
+    let spec = quick_spec().with_workers(2).with_deadline(Duration::from_nanos(1));
+    let study = Study::figures()
+        .and(Study::ablations())
+        .with(ClusterConfig::abe())
+        .with(ReplicationVsRaid::default())
+        .with(BeowulfPerformabilitySweep::default())
+        .with(UltraReliableSweep::default());
+    let scenarios = study.len();
+    let report = study.run(&spec).unwrap();
+    let completed: Vec<&str> = report.outputs.iter().map(|o| o.scenario.as_str()).collect();
+    assert!(completed.is_empty(), "ran despite the expired deadline: {completed:?}");
+    assert_eq!(report.failures.len(), scenarios);
+    for failure in &report.failures {
+        assert!(
+            failure.message.starts_with("deadline expired before '"),
+            "{}: {}",
+            failure.scenario,
+            failure.message
+        );
+        assert!(failure.message.contains("(0 done)"), "{}: {}", failure.scenario, failure.message);
+    }
+}
